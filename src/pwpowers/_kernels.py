@@ -1,17 +1,20 @@
 """JIT-compiled inner loops for power detection, theorem checking, and search.
 
-Every kernel is a plain Python function over numpy arrays, compiled with
-numba when it is importable and the PWPOWERS_NO_NUMBA environment variable is
-unset. Without numba the same functions run interpreted: identical results,
-much slower. Symbol encoding throughout: 0 is the hole, 1..k are letters.
-Positions inside kernels are 0-indexed; the public wrappers shift to the
-1-indexed convention.
+Every @compile_kernel function is plain Python over numpy arrays, compiled
+with numba when it is importable and the PWPOWERS_NO_NUMBA environment
+variable is unset. Without numba the same functions run interpreted:
+identical results, much slower. Symbol encoding throughout: 0 is the hole,
+1..k are letters. Positions inside kernels are 0-indexed; the public
+wrappers shift to the 1-indexed convention.
 
-Word enumeration order in the verifier kernels is length first, then
+The fine-wilf and corollary-full kernels enumerate words length first, then
 lexicographic by symbol code (hole < a < b < ...), via a plain odometer on
-the code array. Canonical representatives are words whose letters first
-appear in alphabetical order; predicates checked here are invariant under
-letter renaming, so skipping non-canonical words loses nothing.
+the code array. The theorem-sq and lemma-h1 kernels report in that same
+order but walk only the start-bounded tree, uncompiled, and count the rest
+of the space in closed form (see their section). Canonical representatives
+are words whose letters first appear in alphabetical order; predicates
+checked here are invariant under letter renaming, so skipping non-canonical
+words loses nothing.
 """
 
 import os
@@ -260,17 +263,6 @@ def fine_wilf_kernel(k, max_len, budget, cex):
 
 
 @compile_kernel
-def _distinct_starts(out, cnt):
-    distinct = 0
-    prev = -1
-    for j in range(cnt):
-        if out[j, 0] != prev:
-            distinct += 1
-            prev = out[j, 0]
-    return distinct
-
-
-@compile_kernel
 def corollary_full_kernel(r, k, max_len, budget, cex):
     # full words: whenever some position starts two or more r-th power
     # occurrences, a strictly later position must start one as well.
@@ -310,81 +302,134 @@ def corollary_full_kernel(r, k, max_len, budget, cex):
     return 0, checked, enumerated, 0
 
 
-@compile_kernel
+# ---------------------------------------------------------------------------
+# start-bounded verifiers (theorem-sq, lemma-h1)
+#
+# Both claims constrain only words whose squares all start at one position.
+# Appending a symbol never removes an occurrence, so that premise is closed
+# under prefixes, and every premise word lies in the tree of canonical words
+# with at most one square start. Only that tree is walked. The counts of the
+# odometer order (every word of length 1..max_len over holes and k letters,
+# length first, then lexicographic) are computed in closed form instead, so
+# the return convention above holds unchanged: `enumerated` is the odometer
+# position of the counterexample, `checked` its rank among canonical words,
+# and the budget stops the run exactly where the odometer would have.
+# ---------------------------------------------------------------------------
+
+
+def _start_bounded_words(k, max_len):
+    # (codes, squares) for every canonical word of length 1..max_len that
+    # has squares, all starting at one position, in length-then-lex order;
+    # each append tests only the windows that end at the new symbol
+    level = [((), 0, -1, 0)]  # codes, largest letter, square start, squares
+    for m in range(1, max_len + 1):
+        children = []
+        for codes, mu, start, squares in level:
+            for s in range(min(mu + 1, k) + 1):
+                child = codes + (s,)
+                word = np.array(child, np.int8)
+                new = [i for i in range(m - 2, -1, -2) if is_power_at(word, i, m - i, 2)]
+                first = start if start >= 0 else (new[0] if new else -1)
+                if all(i == first for i in new):
+                    children.append((child, max(mu, s), first, squares + len(new)))
+                    if first >= 0:
+                        yield child, squares + len(new)
+        level = children
+
+
+def _position(codes, k):
+    # 1-based odometer position of `codes`: the word read as a bijective
+    # base-(k+1) numeral with digits c+1, which puts shorter words first
+    position = 0
+    for c in codes:
+        position = position * (k + 1) + c + 1
+    return position
+
+
+def _codes_at(position, k):
+    # inverse of _position
+    codes = []
+    while position > 0:
+        position, c = divmod(position - 1, k + 1)
+        codes.append(c)
+    return tuple(reversed(codes))
+
+
+def _canonical_table(k, max_len):
+    # f[j][mu]: canonical continuations by j symbols of a prefix whose
+    # largest letter is mu; holes and letters 1..mu keep mu, letter mu+1
+    # raises it
+    f = [[1] * (k + 1)]
+    for _ in range(max_len):
+        g = f[-1]
+        f.append([(mu + 1) * g[mu] + (g[mu + 1] if mu < k else 0) for mu in range(k + 1)])
+    return f
+
+
+def _canonical_rank(codes, f):
+    # canonical words up to `codes` in length-then-lex order, `codes`
+    # itself included when it is canonical
+    m = len(codes)
+    rank = sum(f[j][0] for j in range(1, m))
+    mu = 0
+    for i, c in enumerate(codes):
+        rank += sum(f[m - i - 1][max(mu, s)] for s in range(min(c, mu + 2)))
+        if c > mu + 1:
+            return rank
+        mu = max(mu, c)
+    return rank + 1
+
+
+def _decide_start_bounded(k, max_len, budget, violates):
+    # shared body of the two kernels below; returns (status, checked,
+    # enumerated, counterexample codes, best, witness codes). A run stops at
+    # the first premise word past the budget, so the walk never goes beyond
+    # the longest length whose first word (all holes) the budget reaches.
+    walk_len = 0
+    while walk_len < max_len and _position((0,) * (walk_len + 1), k) <= budget:
+        walk_len += 1
+    f = _canonical_table(k, walk_len)
+    best, witness = 0, None
+    for codes, squares in _start_bounded_words(k, walk_len):
+        position = _position(codes, k)
+        if position > budget:
+            break
+        if violates(codes, squares):
+            return 1, _canonical_rank(codes, f), position, codes, best, witness
+        if squares > best:
+            best, witness = squares, codes
+    last = (k,) * walk_len
+    if walk_len == max_len and _position(last, k) <= budget:
+        return 0, _canonical_rank(last, f), _position(last, k), None, best, witness
+    checked = _canonical_rank(_codes_at(budget, k), f) if budget >= 1 else 0
+    return 2, checked, max(budget + 1, 1), None, best, witness
+
+
+def _store(buf, codes):
+    # copy `codes` to the head of `buf`; returns its length
+    buf[:len(codes)] = codes
+    return len(codes)
+
+
 def lemma_h1_kernel(k, max_len, budget, cex):
     # words with two or more squares all starting at the same position must
     # have exactly one hole, located at position 1
-    out = np.empty(((max_len // 2) * max_len + 1, 2), np.int32)
-    checked = 0
-    enumerated = 0
-    for n in range(1, max_len + 1):
-        w = np.zeros(n, np.int8)
-        while True:
-            enumerated += 1
-            if enumerated > budget:
-                return 2, checked, enumerated, 0
-            if _is_canonical_codes(w):
-                checked += 1
-                cnt = occurrence_scan(w, 2, out)
-                if cnt > 1 and _distinct_starts(out, cnt) == 1:
-                    holes = 0
-                    for i in range(n):
-                        if w[i] == 0:
-                            holes += 1
-                    if w[0] != 0 or holes != 1:
-                        for i in range(n):
-                            cex[i] = w[i]
-                        return 1, checked, enumerated, n
-            j = n - 1
-            while j >= 0:
-                if w[j] < k:
-                    w[j] += 1
-                    break
-                w[j] = 0
-                j -= 1
-            if j < 0:
-                break
-    return 0, checked, enumerated, 0
+    status, checked, enumerated, bad, _, _ = _decide_start_bounded(
+        k, max_len, budget,
+        lambda codes, squares: squares > 1 and (codes[0] != 0 or codes.count(0) != 1),
+    )
+    return status, checked, enumerated, 0 if bad is None else _store(cex, bad)
 
 
-@compile_kernel
 def theorem_sq_kernel(k, max_len, bound, budget, cex, wit):
     # words whose squares all start at one position carry at most `bound`
     # of them; also tracks the best count attained and its first witness
-    out = np.empty(((max_len // 2) * max_len + 1, 2), np.int32)
-    checked = 0
-    enumerated = 0
-    best = 0
-    wit_len = -1
-    for n in range(1, max_len + 1):
-        w = np.zeros(n, np.int8)
-        while True:
-            enumerated += 1
-            if enumerated > budget:
-                return 2, checked, enumerated, 0, best, wit_len
-            if _is_canonical_codes(w):
-                checked += 1
-                cnt = occurrence_scan(w, 2, out)
-                if cnt > 0 and _distinct_starts(out, cnt) == 1:
-                    if cnt > bound:
-                        for i in range(n):
-                            cex[i] = w[i]
-                        return 1, checked, enumerated, n, best, wit_len
-                    if cnt > best:
-                        best = cnt
-                        wit_len = n
-                        for i in range(n):
-                            wit[i] = w[i]
-            j = n - 1
-            while j >= 0:
-                if w[j] < k:
-                    w[j] += 1
-                    break
-                w[j] = 0
-                j -= 1
-            if j < 0:
-                break
-    return 0, checked, enumerated, 0, best, wit_len
+    status, checked, enumerated, bad, best, witness = _decide_start_bounded(
+        k, max_len, budget, lambda codes, squares: squares > bound
+    )
+    cex_len = 0 if bad is None else _store(cex, bad)
+    wit_len = -1 if witness is None else _store(wit, witness)
+    return status, checked, enumerated, cex_len, best, wit_len
 
 
 # ---------------------------------------------------------------------------

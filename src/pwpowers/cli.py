@@ -255,7 +255,7 @@ def _run_verify(args) -> int:
     elif args.claim == "theorem-sq":
         report = verify_theorem_sq_bound(args.k, args.max_len, bound=args.bound, budget=budget)
     else:
-        report = verify_construction(args.name, k=args.k, r=args.r, budget=budget)
+        report = verify_construction(args.name, k=args.k, r=args.r)
     if args.json:
         _print_json(report.to_json_dict())
     else:

@@ -330,8 +330,7 @@ def verify_theorem_sq_bound(
     )
 
 
-def verify_construction(name: str, k: Optional[int] = None, r: Optional[int] = None,
-                        budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
+def verify_construction(name: str, k: Optional[int] = None, r: Optional[int] = None) -> VerificationReport:
     """Re-check a construction's claimed occurrence profile by direct scan.
 
     Names: square-chain (needs k >= 0), prop2 (needs r >= 2), prop3 (needs

@@ -9,12 +9,13 @@ against these.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from pwpowers import Alphabet, PartialWord, power_occurrences, parse_word
+from pwpowers import Alphabet, PartialWord, format_word, power_occurrences, parse_word
 from pwpowers._kernels import NUMBA_ENABLED, compile_kernel, is_power_at
 
 
@@ -100,6 +101,90 @@ def canonicalize_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
             mapping[c] = len(mapping) + 1
         out.append(mapping[c])
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_square_stats(codes: tuple[int, ...], k: int) -> tuple[int, int, int]:
+    """(square count, distinct starts, first start) by the literal root check."""
+    occs = brute_occurrences(codes, k, 2)
+    starts = sorted({s for s, _ in occs})
+    return len(occs), len(starts), starts[0] if starts else -1
+
+
+def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = None):
+    """Reference for the theorem-sq (`bound` given) and lemma-h1 (`bound`
+    None) verifiers: walk every word of length 1..max_len over holes and k
+    letters in length-then-lex order, count each word produced against the
+    budget before looking at it, and test only the canonical ones.
+
+    Returns (status, checked, enumerated, counterexample, best, witness):
+    status 0 pass, 1 counterexample, 2 budget exceeded; counterexample and
+    witness are code tuples or None; best and witness track the largest
+    square count of a premise word seen (theorem-sq only).
+    """
+    checked = enumerated = best = 0
+    witness = None
+    for codes in all_code_tuples(max_len, k):
+        if not codes:
+            continue
+        enumerated += 1
+        if enumerated > budget:
+            return 2, checked, enumerated, None, best, witness
+        if not is_canonical_codes(codes):
+            continue
+        checked += 1
+        squares, starts, _ = _brute_square_stats(codes, k)
+        if starts != 1:
+            continue
+        if bound is None:
+            violates = squares > 1 and (codes[0] != 0 or codes.count(0) != 1)
+        else:
+            violates = squares > bound
+        if violates:
+            return 1, checked, enumerated, codes, best, witness
+        if bound is not None and squares > best:
+            best, witness = squares, codes
+    return 0, checked, enumerated, None, best, witness
+
+
+def expected_verify_report(k: int, max_len: int, budget: int, bound: int | None = None):
+    """The JSON report (without elapsedSeconds) that verify_theorem_sq_bound
+    (`bound` given) or verify_lemma_h1 (`bound` None) must return, or the
+    budget error text it must raise, according to odometer_reference."""
+    claim = "lemma-h1" if bound is None else "theorem-sq"
+    status, checked, enumerated, cex, best, witness = odometer_reference(
+        k, max_len, budget, bound
+    )
+    if status == 2:
+        return (f"{claim}: enumeration exceeded the check budget "
+                f"({enumerated} words produced, budget {budget})")
+    counterexample = None
+    if cex is not None:
+        squares, _, start = _brute_square_stats(cex, k)
+        if bound is None:
+            context = {
+                "squares": squares,
+                "startPositions": [start + 1],
+                "holes": [i + 1 for i, c in enumerate(cex) if c == 0],
+            }
+        else:
+            context = {"squares": squares, "bound": bound}
+        counterexample = {"word": format_word(to_word(cex, k)), "context": context}
+    findings = {"wordsEnumerated": enumerated}
+    parameters = {"k": k, "maxLen": max_len}
+    if bound is not None:
+        parameters["bound"] = bound
+        findings["maxSquares"] = best
+        if witness is not None:
+            findings["maxWitness"] = format_word(to_word(witness, k))
+    return {
+        "claim": claim,
+        "parameters": parameters,
+        "instancesChecked": checked,
+        "outcome": "pass" if status == 0 else "fail",
+        "counterexample": counterexample,
+        "findings": findings,
+    }
 
 
 def occ_pairs(w: PartialWord, r: int) -> list[tuple[int, int]]:

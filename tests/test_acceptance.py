@@ -128,22 +128,33 @@ def test_03_three_same_start_powers_odd_triples(report):
 
 def test_04_square_bound_verified_and_attained(report):
     t0 = time.perf_counter()
+    # instancesChecked counts every canonical word of the space: over holes
+    # and k letters, sum over n <= N and i <= k of Stirling S(n+1, i+1)
     r2 = verify_theorem_sq_bound(2, 12)
     r3 = verify_theorem_sq_bound(3, 9)
+    r2_big = verify_theorem_sq_bound(2, 16)
+    r3_big = verify_theorem_sq_bound(3, 13)
     best = search_max_powers(
         SearchQuery(exponent=2, alphabet_size=2, max_len=12)
     )
     ok = (
         r2.passed and r2.instances_checked == 398586
         and r3.passed and r3.instances_checked == 58768
+        and r2_big.passed and r2_big.instances_checked == 32285048
+        and r3_big.passed and r3_big.instances_checked == 14921276
+        and r3_big.findings["maxSquares"] == 3
+        and r3_big.findings["maxWitness"] == ".abacaba"
         and best.best_count == 2 and best.exhaustive
     )
     elapsed = time.perf_counter() - t0
     report(4, 10, ok,
            "unique-start words carry at most k squares (k=2 n<=12: "
            f"{r2.outcome}/{r2.instances_checked}; k=3 n<=9: "
-           f"{r3.outcome}/{r3.instances_checked}) and the bound is attained "
-           f"(search best={best.best_count})",
+           f"{r3.outcome}/{r3.instances_checked}; k=2 n<=16: "
+           f"{r2_big.outcome}/{r2_big.instances_checked}; k=3 n<=13: "
+           f"{r3_big.outcome}/{r3_big.instances_checked}, max "
+           f"{r3_big.findings['maxSquares']} at {r3_big.findings['maxWitness']}) "
+           f"and the bound is attained (search best={best.best_count})",
            elapsed, 300)
 
 
@@ -178,15 +189,18 @@ def test_06_two_periods_force_gcd_on_full_words(report):
 def test_07_hole_structure_lemmas(report):
     t0 = time.perf_counter()
     rh = verify_lemma_h1(2, 11)
+    rh_big = verify_lemma_h1(2, 16)
     r2k = verify_lemma_2k(2, 6)
     rsh = verify_lemma_short(2, 6)
     ok = (rh.passed and rh.instances_checked == 132865
+          and rh_big.passed and rh_big.instances_checked == 32285048
           and r2k.passed and r2k.instances_checked == 126
           and rsh.passed and rsh.instances_checked == 126)
     elapsed = time.perf_counter() - t0
     report(7, 10, ok,
            "hole-structure lemmas: multi-square one-start words have hole set "
-           f"{{1}} ({rh.outcome}/{rh.instances_checked}); long unique-start "
+           f"{{1}} (n<=11: {rh.outcome}/{rh.instances_checked}; n<=16: "
+           f"{rh_big.outcome}/{rh_big.instances_checked}); long unique-start "
            f"square forces an interior start ({r2k.outcome}/{r2k.instances_checked}); "
            f"short matching square forces a square in the tail "
            f"({rsh.outcome}/{rsh.instances_checked})",

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -135,6 +136,15 @@ class TestVerify:
                       "--budget", "3")
         assert res.returncode == 2
         assert "budget" in res.stderr
+
+    def test_default_budget_stops_a_huge_space_quickly(self):
+        # about 5.7e36 words: the run must stop at the budget, not walk them
+        t0 = time.perf_counter()
+        res = run_cli("verify", "theorem-sq", "--k", "3", "--max-len", "60")
+        elapsed = time.perf_counter() - t0
+        assert res.returncode == 2
+        assert "100000001 words produced" in res.stderr
+        assert elapsed < 5
 
     def test_json_report(self):
         res = run_cli("verify", "fine-wilf", "--k", "2", "--max-len", "8", "--json")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwpowers import (
+    SearchQuery,
     factor,
     format_word,
     is_compatible,
@@ -17,7 +18,9 @@ from pwpowers import (
     join,
     parse_word,
     power_occurrences,
+    search_max_powers,
     strong_periods,
+    verify_theorem_sq_bound,
 )
 from helpers import (
     check_canonicalize_laws,
@@ -163,6 +166,23 @@ class TestStrongPeriodicityLaws:
         periods = strong_periods(parse_word("ab"))
         assert 2 in periods
         assert 1 not in periods
+
+
+class TestSearchAgreesWithTheoremSq:
+    """The square search capped at one start position and the theorem-sq
+    verifier answer the same question: the most squares a word with a single
+    square start can carry, and the least such word attaining it."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_best_and_first_witness(self, k, n):
+        result = search_max_powers(
+            SearchQuery(exponent=2, alphabet_size=k, max_len=n, max_start_positions=1)
+        )
+        report = verify_theorem_sq_bound(k, n)
+        assert result.exhaustive and report.passed
+        assert result.best_count == report.findings["maxSquares"]
+        assert format_word(result.witnesses[0]) == report.findings["maxWitness"]
 
 
 class TestCrossKernelAgreement:

@@ -1,10 +1,13 @@
 """Bounded exhaustive verifiers: pass verdicts, counterexample machinery,
 budgets, determinism."""
 
+import numpy as np
 import pytest
 
+from helpers import expected_verify_report, odometer_reference
 from pwpowers import (
     ResourceLimitError,
+    _kernels,
     format_word,
     power_profile,
     strong_periods,
@@ -136,6 +139,64 @@ class TestTheoremSq:
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             verify_theorem_sq_bound(2, 9, budget=3)
+
+
+# k -> largest max_len of the odometer-reference grid
+GRID_LENGTHS = {1: 9, 2: 9, 3: 6}
+GRID_BUDGETS = (-3, 0, 1, 3, 7, 50, 5000, 10**8)
+
+
+def _report_or_error(verifier, *args, **kwargs):
+    try:
+        doc = verifier(*args, **kwargs).to_json_dict()
+    except ResourceLimitError as exc:
+        return str(exc)
+    del doc["elapsedSeconds"]
+    return doc
+
+
+def _codes(buf, length):
+    return None if length < 0 else tuple(int(c) for c in buf[:length])
+
+
+class TestOdometerReferenceGrid:
+    """theorem-sq and lemma-h1 against the odometer reference: the kernel
+    tuples (including the counts at a budget stop) and the full reports or
+    budget error texts, on pass, fail and budget-exceeded cases."""
+
+    @pytest.mark.parametrize("k", sorted(GRID_LENGTHS))
+    def test_theorem_sq(self, k):
+        for n in range(1, GRID_LENGTHS[k] + 1):
+            for bound in (1, 2, 3):
+                for budget in GRID_BUDGETS:
+                    case = (n, bound, budget)
+                    cex, wit = np.zeros(n, np.int8), np.zeros(n, np.int8)
+                    status, checked, enumerated, cex_len, best, wit_len = (
+                        _kernels.theorem_sq_kernel(k, n, bound, budget, cex, wit)
+                    )
+                    got = (status, checked, enumerated,
+                           _codes(cex, cex_len if status == 1 else -1),
+                           best, _codes(wit, wit_len))
+                    assert got == odometer_reference(k, n, budget, bound), case
+                    assert _report_or_error(
+                        verify_theorem_sq_bound, k, n, bound=bound, budget=budget
+                    ) == expected_verify_report(k, n, budget, bound), case
+
+    @pytest.mark.parametrize("k", sorted(GRID_LENGTHS))
+    def test_lemma_h1(self, k):
+        for n in range(1, GRID_LENGTHS[k] + 1):
+            for budget in GRID_BUDGETS:
+                case = (n, budget)
+                cex = np.zeros(n, np.int8)
+                status, checked, enumerated, cex_len = _kernels.lemma_h1_kernel(
+                    k, n, budget, cex
+                )
+                ref = odometer_reference(k, n, budget)
+                assert (status, checked, enumerated,
+                        _codes(cex, cex_len if status == 1 else -1)) == ref[:4], case
+                assert _report_or_error(
+                    verify_lemma_h1, k, n, budget=budget
+                ) == expected_verify_report(k, n, budget), case
 
 
 class TestConstructionReports:
