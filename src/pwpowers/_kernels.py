@@ -7,6 +7,12 @@ identical results, much slower. Symbol encoding throughout: 0 is the hole,
 1..k are letters. Positions inside kernels are 0-indexed; the public
 wrappers shift to the 1-indexed convention.
 
+`occurrence_scan` is the package's one occurrence scan: it tests every
+candidate window with the residue-class predicate `is_power_at`. The search
+kernel runs the same predicate on the windows that end at each appended
+symbol. The independent check of both, by explicit root construction, lives
+in tests/helpers.py.
+
 The fine-wilf and corollary-full kernels enumerate words length first, then
 lexicographic by symbol code (hole < a < b < ...), via a plain odometer on
 the code array. The theorem-sq and lemma-h1 kernels report in that same
@@ -67,123 +73,14 @@ def is_power_at(word, start, length, r):
 
 @compile_kernel
 def occurrence_scan(word, r, out):
-    # reference scan: test every candidate window directly
+    # test every candidate window directly; rows come out in (start,
+    # length) order, which power_occurrences and the verifiers rely on
     n = word.shape[0]
     cnt = 0
     for start in range(n):
         length = r
         while start + length <= n:
             if is_power_at(word, start, length, r):
-                out[cnt, 0] = start
-                out[cnt, 1] = length
-                cnt += 1
-            length += r
-    return cnt
-
-
-@compile_kernel
-def occurrence_scan_incremental(word, r, out):
-    # append-driven scan: after each new symbol, only windows ending at the
-    # new position can be new occurrences (this is what the search uses);
-    # emits in (end, root) order, so the output is NOT sorted by start
-    n = word.shape[0]
-    cnt = 0
-    for m in range(1, n + 1):
-        p = 1
-        while r * p <= m:
-            i = m - r * p
-            if is_power_at(word, i, r * p, r):
-                out[cnt, 0] = i
-                out[cnt, 1] = r * p
-                cnt += 1
-            p += 1
-    return cnt
-
-
-@compile_kernel
-def occurrence_scan_sweep(word, r, out):
-    # one left-to-right sweep per root length p. Two defined positions in
-    # the same class mod p that are consecutive (only holes between them in
-    # the class) and disagree form a break pair; a window is an occurrence
-    # iff it contains no break pair, i.e. its start exceeds the largest
-    # break left endpoint seen so far. O(n^2 / r) instead of O(n^3 / r).
-    n = word.shape[0]
-    cnt = 0
-    for p in range(1, n // r + 1):
-        length = r * p
-        barrier = -1
-        lastpos = np.full(p, -1, np.int64)
-        for e in range(n):
-            s = word[e]
-            c = e % p
-            if s != 0:
-                lp = lastpos[c]
-                if lp >= 0 and word[lp] != s and lp > barrier:
-                    barrier = lp
-                lastpos[c] = e
-            i = e - length + 1
-            if i >= 0 and barrier < i:
-                out[cnt, 0] = i
-                out[cnt, 1] = length
-                cnt += 1
-    # restore (start, length) order; keys are unique so stability is moot
-    keys = np.empty(cnt, np.int64)
-    for j in range(cnt):
-        keys[j] = out[j, 0] * (n + 1) + out[j, 1]
-    order = np.argsort(keys)
-    tmp = np.empty((cnt, 2), np.int32)
-    for j in range(cnt):
-        tmp[j, 0] = out[order[j], 0]
-        tmp[j, 1] = out[order[j], 1]
-    for j in range(cnt):
-        out[j, 0] = tmp[j, 0]
-        out[j, 1] = tmp[j, 1]
-    return cnt
-
-
-@compile_kernel
-def root_exists(word, start, length, k, r):
-    # build an explicit full root x of length p by backtracking, letter by
-    # letter; x[j] must match every defined symbol at start+j, start+j+p, ...
-    # Never consults the residue-class predicate above.
-    p = length // r
-    x = np.zeros(p, np.int8)
-    j = 0
-    while True:
-        found = False
-        for letter in range(x[j] + 1, k + 1):
-            ok = True
-            idx = start + j
-            while idx < start + length:
-                s = word[idx]
-                if s != 0 and s != letter:
-                    ok = False
-                    break
-                idx += p
-            if ok:
-                x[j] = letter
-                found = True
-                break
-        if found:
-            j += 1
-            if j == p:
-                return True
-        else:
-            x[j] = 0
-            j -= 1
-            if j < 0:
-                return False
-
-
-@compile_kernel
-def occurrence_scan_by_roots(word, k, r, out):
-    # occurrence set computed purely through explicit root construction
-    n = word.shape[0]
-    cnt = 0
-    for start in range(n):
-        length = r
-        while start + length <= n:
-            if root_exists(word, start, length, k, r):
                 out[cnt, 0] = start
                 out[cnt, 1] = length
                 cnt += 1

@@ -106,10 +106,11 @@ class PowerProfile:
         }
 
 
-def _scan(w: PartialWord, r: int) -> np.ndarray:
-    n = len(w)
-    out = np.empty((_kernels.occurrence_capacity(n, r), 2), np.int32)
-    cnt = _kernels.occurrence_scan(w.codes, r, out)
+def _scan(codes: np.ndarray, r: int) -> np.ndarray:
+    """(start, length) rows of every r-th power occurrence in an int8 code
+    array, 0-indexed, sorted by (start, length)."""
+    out = np.empty((_kernels.occurrence_capacity(codes.shape[0], r), 2), np.int32)
+    cnt = _kernels.occurrence_scan(codes, r, out)
     return out[:cnt]
 
 
@@ -118,14 +119,14 @@ def power_occurrences(w: PartialWord, r: int) -> List[PowerOccurrence]:
     _validate_exponent(r)
     return [
         PowerOccurrence(int(s) + 1, int(L), r, int(L) // r)
-        for s, L in _scan(w, r)
+        for s, L in _scan(w.codes, r)
     ]
 
 
 def start_positions(w: PartialWord, r: int) -> tuple[int, ...]:
     """Sorted distinct 1-indexed starts of r-th power occurrences."""
     _validate_exponent(r)
-    rows = _scan(w, r)
+    rows = _scan(w.codes, r)
     return tuple(sorted({int(s) + 1 for s in rows[:, 0]}))
 
 
@@ -139,7 +140,7 @@ def distinct_power_factors(w: PartialWord, r: int) -> int:
     """Number of distinct factors (as partial words) among the occurrences."""
     _validate_exponent(r)
     codes = w.codes
-    return len({codes[s : s + L].tobytes() for s, L in _scan(w, r)})
+    return len({codes[s : s + L].tobytes() for s, L in _scan(codes, r)})
 
 
 def power_profile(w: PartialWord, r: int) -> PowerProfile:

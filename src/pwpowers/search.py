@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from .powers import _scan
 from .words import Alphabet, PartialWord, format_word
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -48,14 +49,7 @@ def canonicalize(w: PartialWord) -> PartialWord:
 def is_canonical(w: PartialWord) -> bool:
     """True when each letter's first occurrence index is at most one above
     the largest index used so far."""
-    mu = 0
-    for c in w.codes:
-        c = int(c)
-        if c > mu + 1:
-            return False
-        if c == mu + 1:
-            mu = c
-    return True
+    return bool(_kernels._is_canonical_codes(w.codes))
 
 
 @dataclass(frozen=True)
@@ -104,16 +98,6 @@ class SearchResult:
         }
 
 
-def _occ_stats(codes: tuple[int, ...], r: int) -> tuple[int, int]:
-    """Occurrence count and distinct start count of a short prefix."""
-    arr = np.array(codes, np.int8)
-    n = arr.size
-    out = np.empty((_kernels.occurrence_capacity(n, r), 2), np.int32)
-    cnt = _kernels.occurrence_scan(arr, r, out)
-    starts = {int(out[j, 0]) for j in range(cnt)}
-    return int(cnt), len(starts)
-
-
 def _survey_prefixes(q: SearchQuery, depth: int, budget: int):
     """Walk the canonical tree down to `depth` symbols in pure Python.
 
@@ -142,11 +126,11 @@ def _survey_prefixes(q: SearchQuery, depth: int, budget: int):
                 return
             child = codes + (s,)
             nodes += 1
-            occ, nstarts = _occ_stats(child, r)
-            if nstarts > t:
+            rows = _scan(np.array(child, np.int8), r)
+            if len(set(rows[:, 0].tolist())) > t:
                 pruned_start += 1
                 continue
-            candidates.append((occ, child))
+            candidates.append((len(rows), child))
             new_mu = max(max_used, s)
             if len(child) == depth:
                 partitions.append(child)
@@ -291,7 +275,12 @@ def lower_bound_table(
 ) -> List[TableCell]:
     """One bounded search per (r, k) cell, annotated with the established
     bound and flagged when the search exceeds it: "conflict" against an
-    exact value (a bug), "new" against a lower bound (an improvement)."""
+    exact value (a bug), "new" against a lower bound (an improvement).
+    Raises ValueError when either range is empty."""
+    if not r_values:
+        raise ValueError("exponent range is empty")
+    if not k_values:
+        raise ValueError("alphabet size range is empty")
     cells = []
     for r in r_values:
         for k in k_values:

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import pwpowers
 from pwpowers import _kernels
 from pwpowers.search import SearchQuery, search_max_powers
 from pwpowers.verify import (
@@ -8,6 +11,14 @@ from pwpowers.verify import (
     verify_fine_wilf,
     verify_lemma_h1,
     verify_theorem_sq_bound,
+)
+from helpers import occurrence_scan_by_roots
+
+# CLI tests run `python -m pwpowers` in subprocesses; point them at the
+# package this process imported, so a plain checkout needs no install
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(pwpowers.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
 )
 
 
@@ -18,10 +29,7 @@ def warm_kernels():
     w = np.array([0, 1, 2, 1], np.int8)
     out = np.empty((_kernels.occurrence_capacity(4, 2), 2), np.int32)
     _kernels.occurrence_scan(w, 2, out)
-    _kernels.occurrence_scan_incremental(w, 2, out)
-    _kernels.occurrence_scan_sweep(w, 2, out)
-    _kernels.occurrence_scan_by_roots(w, 2, 2, out)
-    _kernels.root_exists(w, 0, 4, 2, 2)
+    occurrence_scan_by_roots(w, 2, 2, out)
     verify_fine_wilf(1, 2)
     verify_corollary_full(2, 1, 2)
     verify_lemma_h1(1, 2)

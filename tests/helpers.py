@@ -412,3 +412,54 @@ def literal_power_mismatches(k, max_len, r):
             if j < 0:
                 break
     return mismatches
+
+
+@compile_kernel
+def root_exists(word, start, length, k, r):
+    # build an explicit full root x of length p by backtracking, letter by
+    # letter; x[j] must match every defined symbol at start+j, start+j+p, ...
+    # Never consults the residue-class predicate is_power_at.
+    p = length // r
+    x = np.zeros(p, np.int8)
+    j = 0
+    while True:
+        found = False
+        for letter in range(x[j] + 1, k + 1):
+            ok = True
+            idx = start + j
+            while idx < start + length:
+                s = word[idx]
+                if s != 0 and s != letter:
+                    ok = False
+                    break
+                idx += p
+            if ok:
+                x[j] = letter
+                found = True
+                break
+        if found:
+            j += 1
+            if j == p:
+                return True
+        else:
+            x[j] = 0
+            j -= 1
+            if j < 0:
+                return False
+
+
+@compile_kernel
+def occurrence_scan_by_roots(word, k, r, out):
+    # occurrence set computed purely through explicit root construction,
+    # the independent oracle for _kernels.occurrence_scan
+    n = word.shape[0]
+    cnt = 0
+    for start in range(n):
+        length = r
+        while start + length <= n:
+            if root_exists(word, start, length, k, r):
+                out[cnt, 0] = start
+                out[cnt, 1] = length
+                cnt += 1
+            length += r
+    return cnt

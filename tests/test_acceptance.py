@@ -37,6 +37,7 @@ from helpers import (
     check_extension_monotonicity,
     check_join_laws,
     check_permutation_invariance,
+    occurrence_scan_by_roots,
 )
 
 _TIME_BUDGETS_APPLY = _kernels.NUMBA_ENABLED
@@ -218,20 +219,16 @@ def test_08_scan_routes_agree_on_random_words(report):
         codes = rng.integers(0, k + 1, size=n).astype(np.int8)
         for r in (2, 3, 4):
             cap = _kernels.occurrence_capacity(n, r)
-            out = [np.empty((cap, 2), np.int32) for _ in range(4)]
-            ref = sorted(
-                map(tuple, out[0][: _kernels.occurrence_scan(codes, r, out[0])])
-            )
-            if sorted(map(tuple, out[1][: _kernels.occurrence_scan_sweep(codes, r, out[1])])) != ref:
-                mismatches += 1
-            if sorted(map(tuple, out[2][: _kernels.occurrence_scan_incremental(codes, r, out[2])])) != ref:
-                mismatches += 1
-            if sorted(map(tuple, out[3][: _kernels.occurrence_scan_by_roots(codes, k, r, out[3])])) != ref:
+            out, out_roots = np.empty((cap, 2), np.int32), np.empty((cap, 2), np.int32)
+            # the scan's own order must already be the sorted (start, length) order
+            got = list(map(tuple, out[: _kernels.occurrence_scan(codes, r, out)]))
+            ref = sorted(map(tuple, out_roots[: occurrence_scan_by_roots(codes, k, r, out_roots)]))
+            if got != ref:
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     report(8, 10, mismatches == 0,
-           f"window-scan, sweep, incremental, and root-construction scans agree "
-           f"on {words} random words, |w|<=30, k<=3, r in {{2,3,4}} "
+           f"window scan, in its own order, equals the sorted root-construction "
+           f"oracle on {words} random words, |w|<=30, k<=3, r in {{2,3,4}} "
            f"({mismatches} mismatches)",
            elapsed, 300)
 

@@ -228,6 +228,16 @@ class TestSearch:
         assert rows[0]["knownExact"] is True
         assert rows[0]["flag"] == ""
 
+    @pytest.mark.parametrize("bounds", [
+        ("--r-min", "4", "--r-max", "3", "--k-min", "2", "--k-max", "2"),
+        ("--r-min", "2", "--r-max", "2", "--k-min", "3", "--k-max", "2"),
+    ])
+    def test_table_inverted_range_fails(self, bounds):
+        res = run_cli("search", "table", *bounds, "--max-len", "4", "--json")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "range is empty" in res.stderr
+
 
 class TestInterpreterFallback:
     """PWPOWERS_NO_NUMBA=1 must change performance only, never output."""

@@ -28,6 +28,7 @@ from helpers import (
     check_extension_monotonicity,
     check_join_laws,
     check_permutation_invariance,
+    occurrence_scan_by_roots,
     to_word,
 )
 
@@ -186,8 +187,8 @@ class TestSearchAgreesWithTheoremSq:
 
 
 class TestCrossKernelAgreement:
-    """The three production scan kernels and the root-construction scan
-    agree word-for-word on a randomized sample."""
+    """The production window scan, in its own output order, equals the
+    sorted root-construction oracle word-for-word on a randomized sample."""
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_scan_variants_agree(self, r):
@@ -199,15 +200,8 @@ class TestCrossKernelAgreement:
             k = int(rng.integers(1, 4))
             codes = rng.integers(0, k + 1, size=n).astype(np.int8)
             cap = _kernels.occurrence_capacity(n, r)
-            out_ref = np.empty((cap, 2), np.int32)
-            out_sweep = np.empty((cap, 2), np.int32)
-            out_inc = np.empty((cap, 2), np.int32)
+            out_scan = np.empty((cap, 2), np.int32)
             out_roots = np.empty((cap, 2), np.int32)
-            c_ref = _kernels.occurrence_scan(codes, r, out_ref)
-            c_sweep = _kernels.occurrence_scan_sweep(codes, r, out_sweep)
-            c_inc = _kernels.occurrence_scan_incremental(codes, r, out_inc)
-            c_roots = _kernels.occurrence_scan_by_roots(codes, k, r, out_roots)
-            ref = sorted(map(tuple, out_ref[:c_ref]))
-            assert sorted(map(tuple, out_sweep[:c_sweep])) == ref
-            assert sorted(map(tuple, out_inc[:c_inc])) == ref
-            assert sorted(map(tuple, out_roots[:c_roots])) == ref
+            c_scan = _kernels.occurrence_scan(codes, r, out_scan)
+            c_roots = occurrence_scan_by_roots(codes, k, r, out_roots)
+            assert list(map(tuple, out_scan[:c_scan])) == sorted(map(tuple, out_roots[:c_roots]))

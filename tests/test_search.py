@@ -199,3 +199,9 @@ class TestKnownBoundsAndTable:
         ]
         assert doc["bestCount"] == 2
         assert doc["witness"] == ".aba"
+
+    def test_table_rejects_empty_ranges(self):
+        with pytest.raises(ValueError, match="exponent range is empty"):
+            lower_bound_table(range(4, 3), [2], 4)
+        with pytest.raises(ValueError, match="alphabet size range is empty"):
+            lower_bound_table([2], [], 4)
