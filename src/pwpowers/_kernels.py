@@ -7,11 +7,19 @@ identical results, much slower. Symbol encoding throughout: 0 is the hole,
 1..k are letters. Positions inside kernels are 0-indexed; the public
 wrappers shift to the 1-indexed convention.
 
-`occurrence_scan` is the package's one occurrence scan: it tests every
-candidate window with the residue-class predicate `is_power_at`. The search
-kernel runs the same predicate on the windows that end at each appended
-symbol. The independent check of both, by explicit root construction, lives
-in tests/helpers.py.
+Both occurrence scans, `occurrence_scan` and the per-append scan inside
+`search_kernel`, use one rule. A break pair for root length p is two
+consecutive defined symbols of one residue class mod p that disagree, and a
+window of length r*p is an r-th power iff it contains no break pair. The
+scan sweeps starts right to left, keeping for each p the nearest break pair
+to the right; the search keeps, per depth, the rightmost one to the left.
+Either way the cost per window is O(1) plus a walk over holes, where the
+residue-class predicate `is_power_at` (kept for the theorem-sq tree walk)
+costs O(window length). Both kernels copy their input into plain int lists
+built inside the function: interpreted, list indexing is several times
+cheaper than reading numpy int8 scalars, and numba compiles such lists too.
+The independent check of both, by explicit root construction, lives in
+tests/helpers.py.
 
 The fine-wilf and corollary-full kernels enumerate words length first, then
 lexicographic by symbol code (hole < a < b < ...), via a plain odometer on
@@ -73,18 +81,39 @@ def is_power_at(word, start, length, r):
 
 @compile_kernel
 def occurrence_scan(word, r, out):
-    # test every candidate window directly; rows come out in (start,
-    # length) order, which power_occurrences and the verifiers rely on
+    # sweep starts right to left; reach[p] is the right end of the nearest
+    # break pair (consecutive defined symbols of one class mod p that
+    # disagree) whose left end is at or after `start`, or n when there is
+    # none, so window (start, r*p) is a power iff reach[p] >= start + r*p.
+    # Rows are written from the end of `out`, each start's lengths in
+    # descending order, then moved to the front: (start, length) order,
+    # which power_occurrences and the verifiers rely on.
     n = word.shape[0]
-    cnt = 0
-    for start in range(n):
-        length = r
-        while start + length <= n:
-            if is_power_at(word, start, length, r):
-                out[cnt, 0] = start
-                out[cnt, 1] = length
-                cnt += 1
-            length += r
+    w = [0] * n
+    for i in range(n):
+        w[i] = int(word[i])
+    pmax = n // r
+    reach = [n] * (pmax + 1)
+    top = out.shape[0]
+    pos = top
+    for start in range(n - 1, -1, -1):
+        s = w[start]
+        if s != 0:
+            for p in range(1, min(pmax, n - 1 - start) + 1):
+                j = start + p
+                while j < n and w[j] == 0:
+                    j += p
+                if j < reach[p] and w[j] != s:
+                    reach[p] = j
+        for p in range((n - start) // r, 0, -1):
+            if reach[p] >= start + r * p:
+                pos -= 1
+                out[pos, 0] = start
+                out[pos, 1] = r * p
+    cnt = top - pos
+    for i in range(cnt):
+        out[i, 0] = out[pos + i, 0]
+        out[i, 1] = out[pos + i, 1]
     return cnt
 
 
@@ -348,6 +377,9 @@ def _word_less_than_row(word, m, wit_buf, wit_lens, j):
 
 @compile_kernel
 def _insert_witness(word, m, wit_buf, wit_lens, n_wit, wcap):
+    # rows are sorted, so a full list takes nothing at or past its last row
+    if n_wit == wcap and not _word_less_than_row(word, m, wit_buf, wit_lens, wcap - 1):
+        return n_wit
     pos = n_wit
     for j in range(n_wit):
         if _word_less_than_row(word, m, wit_buf, wit_lens, j):
@@ -367,6 +399,52 @@ def _insert_witness(word, m, wit_buf, wit_lens, n_wit, wcap):
     return n_wit + 1 if n_wit < wcap else wcap
 
 
+@compile_kernel
+def _append(w, m, r, pmax, bar, base, marked_at):
+    # score w[m-1], just written: extend the barrier to row m and mark the
+    # starts of the new occurrences (windows ending at m) with depth m.
+    # bar[base[m] + p] is the largest left end of a break pair for root
+    # length p in w[:m], or -1; a row holds p = 0..min(pmax, m), and since
+    # no pair fits in fewer than p + 1 symbols, entry p = m stays -1.
+    # Returns (occurrences added, starts added).
+    if len(base) == m:
+        base.append(len(bar))
+        for _ in range(min(pmax, m) + 1):
+            bar.append(-1)
+    s = w[m - 1]
+    prev = base[m - 1]
+    row = base[m]
+    occ = 0
+    starts = 0
+    hi = m - 1 if m <= pmax else pmax
+    for p in range(1, hi + 1):
+        b = bar[prev + p]
+        if s != 0:
+            j = m - 1 - p
+            while j > b and w[j] == 0:
+                j -= p
+            if j > b and w[j] != s:
+                b = j
+        bar[row + p] = b
+        i = m - r * p
+        if b < i:
+            occ += 1
+            if marked_at[i] == 0:
+                marked_at[i] = m
+                starts += 1
+    return occ, starts
+
+
+@compile_kernel
+def _unmark(marked_at, m, r):
+    # forget the starts first marked at depth m; they all end windows at m
+    i = m - r
+    while i >= 0:
+        if marked_at[i] == m:
+            marked_at[i] = 0
+        i -= r
+
+
 @compile_kernel(nogil=True)
 def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens):
     """Depth-first search over canonical extensions of `prefix`.
@@ -380,35 +458,24 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
     budget ran out. best is -1 when no extension qualified.
     """
     n = max_len
-    word = np.zeros(n + 1, np.int8)
-    start_marked = np.zeros(n + 1, np.uint8)
-    started_at = np.zeros(n + 1, np.int32)
-    max_used = np.zeros(n + 2, np.int8)
-    occ = np.zeros(n + 2, np.int64)
-    nstarts = np.zeros(n + 2, np.int32)
-    trial = np.zeros(n + 2, np.int8)
+    pmax = n // r
+    w = [0] * (n + 1)
+    marked_at = [0] * (n + 1)  # depth at which a start was first marked, or 0
+    max_used = [0] * (n + 2)
+    occ = [0] * (n + 2)
+    nstarts = [0] * (n + 2)
+    trial = [0] * (n + 2)
+    bar = [-1]  # barrier row 0: the empty word has no break pair
+    base = [0]
 
     d0 = prefix.shape[0]
-    for i in range(d0):
-        word[i] = prefix[i]
     for m in range(1, d0 + 1):
-        s = word[m - 1]
-        mu = max_used[m - 1]
-        if s > mu:
-            mu = s
-        max_used[m] = mu
-        occ[m] = occ[m - 1]
-        nstarts[m] = nstarts[m - 1]
-        p = 1
-        while r * p <= m:
-            i = m - r * p
-            if is_power_at(word, i, r * p, r):
-                occ[m] += 1
-                if start_marked[i] == 0:
-                    start_marked[i] = 1
-                    started_at[i] = m
-                    nstarts[m] += 1
-            p += 1
+        s = int(prefix[m - 1])
+        w[m - 1] = s
+        max_used[m] = s if s > max_used[m - 1] else max_used[m - 1]
+        added, new_starts = _append(w, m, r, pmax, bar, base, marked_at)
+        occ[m] = occ[m - 1] + added
+        nstarts[m] = nstarts[m - 1] + new_starts
 
     best = -1
     n_wit = 0
@@ -420,10 +487,8 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
     if d0 < n:
         # the prefix's own children are enumerated here, so the letters its
         # canonicality cap skips are accounted here as well
-        lim0 = max_used[d0] + 1
-        if lim0 > k:
-            lim0 = k
-        pruned_sym += k - lim0
+        if max_used[d0] < k:
+            pruned_sym += k - max_used[d0] - 1
 
     d = d0
     trial[d] = 0
@@ -431,66 +496,48 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
         advanced = False
         if d < n:
             s = trial[d]
-            limit = max_used[d] + 1
-            if limit > k:
-                limit = k
-            if s <= limit:
+            mu = max_used[d]
+            if s <= mu + 1 and s <= k:
                 advanced = True
                 if nodes >= node_budget:
                     status = 2
                     break
-                word[d] = s
+                w[d] = s
                 m = d + 1
-                mu = max_used[d]
                 if s > mu:
                     mu = s
                 max_used[m] = mu
-                occ[m] = occ[d]
-                nstarts[m] = nstarts[d]
-                p = 1
-                while r * p <= m:
-                    i = m - r * p
-                    if is_power_at(word, i, r * p, r):
-                        occ[m] += 1
-                        if start_marked[i] == 0:
-                            start_marked[i] = 1
-                            started_at[i] = m
-                            nstarts[m] += 1
-                    p += 1
+                added, new_starts = _append(w, m, r, pmax, bar, base, marked_at)
+                occ[m] = occ[d] + added
+                nstarts[m] = nstarts[d] + new_starts
                 nodes += 1
                 if nstarts[m] > t:
                     pruned_start += 1
-                    for i in range(m):
-                        if start_marked[i] == 1 and started_at[i] == m:
-                            start_marked[i] = 0
+                    if new_starts:
+                        _unmark(marked_at, m, r)
                     trial[d] += 1
                 else:
                     c = occ[m]
                     if c > best:
                         best = c
                         n_wit = 0
-                        n_wit = _insert_witness(word, m, wit_buf, wit_lens, n_wit, wcap)
+                        n_wit = _insert_witness(w, m, wit_buf, wit_lens, n_wit, wcap)
                     elif c == best:
-                        n_wit = _insert_witness(word, m, wit_buf, wit_lens, n_wit, wcap)
+                        n_wit = _insert_witness(w, m, wit_buf, wit_lens, n_wit, wcap)
                     if m < n:
-                        lim2 = mu + 1
-                        if lim2 > k:
-                            lim2 = k
-                        pruned_sym += k - lim2
+                        if mu < k:
+                            pruned_sym += k - mu - 1
                         d = m
                         trial[d] = 0
                     else:
-                        for i in range(m):
-                            if start_marked[i] == 1 and started_at[i] == m:
-                                start_marked[i] = 0
+                        if new_starts:
+                            _unmark(marked_at, m, r)
                         trial[d] += 1
         if not advanced:
             if d == d0:
                 break
-            m = d
-            for i in range(m):
-                if start_marked[i] == 1 and started_at[i] == m:
-                    start_marked[i] = 0
+            if nstarts[d] != nstarts[d - 1]:
+                _unmark(marked_at, d, r)
             d -= 1
             trial[d] += 1
     return status, nodes, pruned_sym, pruned_start, best, n_wit

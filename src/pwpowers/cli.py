@@ -173,13 +173,14 @@ def _run_analyze(args) -> int:
     if not args.stdin and args.word is None:
         print("analyze: a word argument (or --stdin) is required", file=sys.stderr)
         return 2
+    # (physical line number, text); blank lines are skipped after numbering
     texts = (
-        [line.strip() for line in sys.stdin if line.strip()]
+        [(idx, line.strip()) for idx, line in enumerate(sys.stdin, start=1) if line.strip()]
         if args.stdin
-        else [args.word]
+        else [(None, args.word)]
     )
     profiles = []
-    for idx, text in enumerate(texts, start=1):
+    for idx, text in texts:
         try:
             word = parse_word(text, alphabet)
         except PartialWordError as exc:

@@ -83,6 +83,11 @@ class TestAnalyze:
         res = run_cli("analyze", "--r", "2", "--stdin", stdin="aa\na?a\n")
         assert res.returncode == 2
         assert "line 2" in res.stderr
+        # blank lines count: the error is on physical line 3
+        res = run_cli("analyze", "--r", "2", "--stdin", stdin="abab\n\nabz1\n")
+        assert res.returncode == 2
+        assert "line 3:" in res.stderr
+        assert "line 2" not in res.stderr
 
     def test_word_and_stdin_are_exclusive(self):
         assert run_cli("analyze", "aa", "--r", "2", "--stdin").returncode == 2
@@ -190,6 +195,21 @@ class TestSearch:
                       "--budget", "10", "--json")
         assert res.returncode == 0
         assert json.loads(res.stdout)["exhaustive"] is False
+
+    def test_huge_max_len_with_small_budget(self):
+        # kernel state must grow with the depth reached, not with max-len:
+        # a dense per-length table for 100000 symbols does not fit in memory
+        res = run_cli("search", "--r", "2", "--k", "2", "--max-len", "100000",
+                      "--budget", "50", "--json")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {
+            "bestCount": 2,
+            "witnesses": [".aba"],
+            "nodesExplored": 50,
+            "prunedBySymmetry": 3,
+            "prunedByStartBound": 31,
+            "exhaustive": False,
+        }
 
     def test_jobs_are_byte_identical(self):
         base = run_cli("search", "--r", "3", "--k", "2", "--max-len", "9", "--json")

@@ -187,21 +187,35 @@ class TestSearchAgreesWithTheoremSq:
 
 
 class TestCrossKernelAgreement:
-    """The production window scan, in its own output order, equals the
-    sorted root-construction oracle word-for-word on a randomized sample."""
+    """The production break-pair scan, in its own output order, equals the
+    sorted root-construction oracle word-for-word, on fixed edge inputs and
+    a randomized sample, into an exactly sized and an oversized buffer."""
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_scan_variants_agree(self, r):
         from pwpowers import _kernels
 
+        fixed = [
+            ((), 1),  # the empty word
+            ((1,) * (r - 1), 1),  # shorter than r
+            ((0,) * 13, 2),  # all holes
+            ((1,) + (0,) * 25 + (2,), 2),  # letters across a long hole run
+            ((1,) + (0,) * 25 + (2,) + (0,) * 12, 2),  # (0, 39) is no cube
+            ((1,) + (0,) * 25 + (1,) + (0,) * 7 + (2,), 2),
+            ((0, 0, 1) + (0,) * 20 + (2, 0, 1) + (0,) * 11 + (1, 0, 3), 3),
+        ]
+        samples = [(np.array(codes, np.int8), k) for codes, k in fixed]
         rng = np.random.default_rng(20260815 + r)
         for _ in range(300):
             n = int(rng.integers(0, 41))
             k = int(rng.integers(1, 4))
-            codes = rng.integers(0, k + 1, size=n).astype(np.int8)
-            cap = _kernels.occurrence_capacity(n, r)
-            out_scan = np.empty((cap, 2), np.int32)
+            samples.append((rng.integers(0, k + 1, size=n).astype(np.int8), k))
+        for codes, k in samples:
+            cap = _kernels.occurrence_capacity(codes.shape[0], r)
             out_roots = np.empty((cap, 2), np.int32)
-            c_scan = _kernels.occurrence_scan(codes, r, out_scan)
             c_roots = occurrence_scan_by_roots(codes, k, r, out_roots)
-            assert list(map(tuple, out_scan[:c_scan])) == sorted(map(tuple, out_roots[:c_roots]))
+            expected = sorted(map(tuple, out_roots[:c_roots]))
+            for size in (cap, cap + 37):
+                out_scan = np.full((size, 2), -1, np.int32)
+                c_scan = _kernels.occurrence_scan(codes, r, out_scan)
+                assert list(map(tuple, out_scan[:c_scan])) == expected, (codes.tolist(), size)
