@@ -118,16 +118,14 @@ def power_occurrences(w: PartialWord, r: int) -> List[PowerOccurrence]:
     """All r-th power occurrences, sorted by (start, length), 1-indexed."""
     _validate_exponent(r)
     return [
-        PowerOccurrence(int(s) + 1, int(L), r, int(L) // r)
-        for s, L in _scan(w.codes, r)
+        PowerOccurrence(s + 1, L, r, L // r) for s, L in _scan(w.codes, r).tolist()
     ]
 
 
 def start_positions(w: PartialWord, r: int) -> tuple[int, ...]:
     """Sorted distinct 1-indexed starts of r-th power occurrences."""
     _validate_exponent(r)
-    rows = _scan(w.codes, r)
-    return tuple(sorted({int(s) + 1 for s in rows[:, 0]}))
+    return tuple(sorted({s + 1 for s in _scan(w.codes, r)[:, 0].tolist()}))
 
 
 def unique_start_position(w: PartialWord, r: int) -> Optional[int]:

@@ -415,12 +415,13 @@ def literal_power_mismatches(k, max_len, r):
 
 
 @compile_kernel
-def root_exists(word, start, length, k, r):
+def root_exists(w, start, length, k, r):
     # build an explicit full root x of length p by backtracking, letter by
     # letter; x[j] must match every defined symbol at start+j, start+j+p, ...
-    # Never consults the residue-class predicate is_power_at.
+    # of the int list w. Never consults the residue-class predicate
+    # is_power_at.
     p = length // r
-    x = np.zeros(p, np.int8)
+    x = [0] * p
     j = 0
     while True:
         found = False
@@ -428,7 +429,7 @@ def root_exists(word, start, length, k, r):
             ok = True
             idx = start + j
             while idx < start + length:
-                s = word[idx]
+                s = w[idx]
                 if s != 0 and s != letter:
                     ok = False
                     break
@@ -451,13 +452,17 @@ def root_exists(word, start, length, k, r):
 @compile_kernel
 def occurrence_scan_by_roots(word, k, r, out):
     # occurrence set computed purely through explicit root construction,
-    # the independent oracle for _kernels.occurrence_scan
+    # the independent oracle for _kernels.occurrence_scan; the word is read
+    # once into an int list, as the production kernels do
     n = word.shape[0]
+    w = [0] * n
+    for i in range(n):
+        w[i] = int(word[i])
     cnt = 0
     for start in range(n):
         length = r
         while start + length <= n:
-            if root_exists(word, start, length, k, r):
+            if root_exists(w, start, length, k, r):
                 out[cnt, 0] = start
                 out[cnt, 1] = length
                 cnt += 1

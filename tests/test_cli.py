@@ -1,13 +1,20 @@
 """End-to-end command-line checks through real subprocesses: output shapes,
-exit codes, JSON round-trips, and run-to-run byte identity."""
+exit codes, JSON round-trips, and run-to-run byte identity; plus the JSON
+writer against the stdlib encoder."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pwpowers.cli import _json_text
 
 PKG = [sys.executable, "-m", "pwpowers"]
 
@@ -78,6 +85,11 @@ class TestAnalyze:
         docs = json.loads(res.stdout)
         assert [d["word"] for d in docs] == [".aba", "aaaa"]
         assert [len(d["occurrences"]) for d in docs] == [2, 4]
+        assert json.dumps(docs, indent=2) + "\n" == res.stdout
+        for stdin in ("", "\n  \n\n"):
+            res = run_cli("analyze", "--r", "2", "--stdin", "--json", stdin=stdin)
+            assert res.returncode == 0
+            assert res.stdout == "[]\n"
 
     def test_stdin_parse_error_names_line(self):
         res = run_cli("analyze", "--r", "2", "--stdin", stdin="aa\na?a\n")
@@ -107,6 +119,7 @@ class TestConstruct:
         res = run_cli("construct", "prop2", "--r", "4", "--json")
         doc = json.loads(res.stdout)
         assert doc == {"name": "prop2", "parameters": {"r": 4}, "words": ["...aba.."]}
+        assert json.dumps(doc, indent=2) + "\n" == res.stdout
 
     def test_prop3_exponent_gate(self):
         assert run_cli("construct", "prop3", "--r", "6").returncode == 2
@@ -162,6 +175,7 @@ class TestVerify:
         assert doc["outcome"] == "pass"
         assert doc["instancesChecked"] == 255
         assert doc["counterexample"] is None
+        assert json.dumps(doc, indent=2) + "\n" == res.stdout
 
     def test_construction_check(self):
         res = run_cli("verify", "construction", "--name", "cube-examples")
@@ -184,6 +198,7 @@ class TestSearch:
         assert doc["bestCount"] == 2
         assert doc["witnesses"] == [".aba"]
         assert doc["exhaustive"] is True
+        assert json.dumps(doc, indent=2) + "\n" == res.stdout
 
     def test_missing_options(self):
         res = run_cli("search", "--r", "2")
@@ -247,6 +262,7 @@ class TestSearch:
         assert rows[0]["knownBound"] == 2
         assert rows[0]["knownExact"] is True
         assert rows[0]["flag"] == ""
+        assert json.dumps(rows, indent=2) + "\n" == res.stdout
 
     @pytest.mark.parametrize("bounds", [
         ("--r-min", "4", "--r-max", "3", "--k-min", "2", "--k-max", "2"),
@@ -257,6 +273,50 @@ class TestSearch:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "range is empty" in res.stderr
+
+
+json_strings = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2028\u20ac\U0001f600')
+    | st.characters()
+)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(2**63), 2**64, -(10**40), 10**100])
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320, 1e300])
+    | json_strings
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_strings, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """_json_text, which writes every --json document, against the stdlib."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_documents)
+    def test_matches_stdlib(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_empty_containers(self):
+        doc = {"a": [], "b": {}, "c": (), "d": [[], {}, [[]]]}
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("value", [{1, 2}, np.int64(3), [np.int32(1)], {"a": frozenset()}])
+    def test_rejects_what_stdlib_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
 
 
 class TestInterpreterFallback:
