@@ -66,16 +66,22 @@ def _json_text(doc, newline: str = "\n") -> str:
         if doc == -_INF:
             return "-Infinity"
         return float.__repr__(doc)
+    # plain ints, most of the values in an analyze document, are written
+    # without a call; bools and int subclasses take the path above
     inner = newline + "  "
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        items = [_json_text(v, inner) for v in doc]
+        items = [int.__repr__(v) if v.__class__ is int else _json_text(v, inner) for v in doc]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(doc, dict):
         if not doc:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in doc.items()]
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (int.__repr__(v) if v.__class__ is int else _json_text(v, inner))
+            for k, v in doc.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {doc.__class__.__name__} is not JSON serializable")
 
