@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwpowers.cli import _json_text
@@ -304,11 +304,8 @@ class TestJsonWriter:
 
     @settings(max_examples=300, deadline=None)
     @given(json_documents)
+    @example({"a": [], "b": {}, "c": (), "d": [[], {}, [[]]], "e": [1, True, -0.0]})
     def test_matches_stdlib(self, doc):
-        assert _json_text(doc) == json.dumps(doc, indent=2)
-
-    def test_empty_containers(self):
-        doc = {"a": [], "b": {}, "c": (), "d": [[], {}, [[]]]}
         assert _json_text(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("value", [{1, 2}, np.int64(3), [np.int32(1)], {"a": frozenset()}])
