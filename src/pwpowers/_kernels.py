@@ -446,16 +446,20 @@ def _unmark(marked_at, m, r):
 
 
 @compile_kernel(nogil=True)
-def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens):
+def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens, frontier):
     """Depth-first search over canonical extensions of `prefix`.
 
     Scores every strict extension (the prefix node itself belongs to the
     caller), maintaining occurrence and start-position counts incrementally
     and cutting any branch whose distinct power starts already exceed t
     (appending symbols never removes an occurrence, so the cut is sound).
-    Returns (status, nodes, pruned_symmetry, pruned_start_bound, best, n_wit)
-    where status 0 means the subtree was exhausted and 2 means the node
-    budget ran out. best is -1 when no extension qualified.
+    Qualifying nodes of length max_len are copied, in visiting (lex) order,
+    into the rows of `frontier` while rows remain; the search's prefix
+    survey reads its partitions from there, and partition calls pass a
+    buffer with zero rows.
+    Returns (status, nodes, pruned_symmetry, pruned_start_bound, best, n_wit,
+    n_frontier) where status 0 means the subtree was exhausted and 2 means
+    the node budget ran out. best is -1 when no extension qualified.
     """
     n = max_len
     pmax = n // r
@@ -479,6 +483,8 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
 
     best = -1
     n_wit = 0
+    front_rows = frontier.shape[0]
+    n_front = 0
     nodes = 0
     pruned_sym = 0
     pruned_start = 0
@@ -530,6 +536,10 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
                         d = m
                         trial[d] = 0
                     else:
+                        if n_front < front_rows:
+                            for i in range(m):
+                                frontier[n_front, i] = w[i]
+                            n_front += 1
                         if new_starts:
                             _unmark(marked_at, m, r)
                         trial[d] += 1
@@ -540,4 +550,4 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
                 _unmark(marked_at, d, r)
             d -= 1
             trial[d] += 1
-    return status, nodes, pruned_sym, pruned_start, best, n_wit
+    return status, nodes, pruned_sym, pruned_start, best, n_wit, n_front

@@ -94,12 +94,18 @@ def _positions_set(positions) -> str:
     return "{" + ",".join(str(p) for p in positions) + "}"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, budget: Optional[int] = None, jobs: bool = False
+) -> None:
+    # --json everywhere; --jobs and --budget (defaulting to `budget`) only
+    # where the command reads them
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
-    parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="worker threads (results are identical for any value)")
-    parser.add_argument("--budget", type=int, default=None, metavar="B",
-                        help="enumeration budget override (words checked / nodes explored)")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1, metavar="J",
+                            help="worker threads (results are identical for any value)")
+    if budget is not None:
+        parser.add_argument("--budget", type=int, default=budget, metavar="B",
+                            help="enumeration budget override (words checked / nodes explored)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,32 +146,32 @@ def _build_parser() -> argparse.ArgumentParser:
     vf = vsub.add_parser("fine-wilf", help="two strong periods force their gcd on full words")
     vf.add_argument("--k", type=int, required=True, metavar="K")
     vf.add_argument("--max-len", type=int, required=True, metavar="N")
-    _add_common(vf)
+    _add_common(vf, budget=DEFAULT_CHECK_BUDGET)
     vc = vsub.add_parser("corollary-full",
                          help="full words: a doubled power start is never the last start")
     vc.add_argument("--r", type=int, required=True, metavar="R")
     vc.add_argument("--k", type=int, required=True, metavar="K")
     vc.add_argument("--max-len", type=int, required=True, metavar="N")
-    _add_common(vc)
+    _add_common(vc, budget=DEFAULT_CHECK_BUDGET)
     vh = vsub.add_parser("lemma-h1",
                          help="multiple same-start squares force hole set {1}")
     vh.add_argument("--k", type=int, required=True, metavar="K")
     vh.add_argument("--max-len", type=int, required=True, metavar="N")
-    _add_common(vh)
+    _add_common(vh, budget=DEFAULT_CHECK_BUDGET)
     v2 = vsub.add_parser("lemma-2k", help="long unique-start square forces an interior start")
     v2.add_argument("--k", type=int, required=True, metavar="K")
     v2.add_argument("--max-u-len", type=int, required=True, metavar="M")
-    _add_common(v2)
+    _add_common(v2, budget=DEFAULT_CHECK_BUDGET)
     vs = vsub.add_parser("lemma-short", help="short matching square forces a square inside v")
     vs.add_argument("--k", type=int, required=True, metavar="K")
     vs.add_argument("--max-u-len", type=int, required=True, metavar="M")
-    _add_common(vs)
+    _add_common(vs, budget=DEFAULT_CHECK_BUDGET)
     vt = vsub.add_parser("theorem-sq", help="unique-start words carry at most k squares")
     vt.add_argument("--k", type=int, required=True, metavar="K")
     vt.add_argument("--max-len", type=int, required=True, metavar="N")
     vt.add_argument("--bound", type=int, default=None, metavar="B",
                     help="override the asserted bound (default k); probes tightness")
-    _add_common(vt)
+    _add_common(vt, budget=DEFAULT_CHECK_BUDGET)
     vx = vsub.add_parser("construction", help="re-check a construction's occurrence profile")
     vx.add_argument("--name", required=True,
                     choices=["square-chain", "prop2", "prop3", "cube-examples"])
@@ -181,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--t", type=int, default=1, metavar="T",
                     help="max distinct occurrence starts (default 1)")
     ps.add_argument("--witness-cap", type=int, default=16, metavar="C")
-    _add_common(ps)
+    _add_common(ps, budget=DEFAULT_NODE_BUDGET, jobs=True)
     st = ssub.add_parser("table", help="grid of bounded searches over (r, k) cells")
     st.add_argument("--r-min", type=int, required=True, metavar="R0")
     st.add_argument("--r-max", type=int, required=True, metavar="R1")
@@ -191,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--t", type=int, default=1, metavar="T")
     st.add_argument("--witness-cap", type=int, default=4, metavar="C")
     st.add_argument("--csv", action="store_true", help="CSV instead of aligned text")
-    _add_common(st)
+    _add_common(st, budget=DEFAULT_NODE_BUDGET, jobs=True)
 
     return parser
 
@@ -291,19 +297,20 @@ def _report_text(report: VerificationReport) -> str:
 
 
 def _run_verify(args) -> int:
-    budget = args.budget if args.budget is not None else DEFAULT_CHECK_BUDGET
     if args.claim == "fine-wilf":
-        report = verify_fine_wilf(args.k, args.max_len, budget=budget)
+        report = verify_fine_wilf(args.k, args.max_len, budget=args.budget)
     elif args.claim == "corollary-full":
-        report = verify_corollary_full(args.r, args.k, args.max_len, budget=budget)
+        report = verify_corollary_full(args.r, args.k, args.max_len, budget=args.budget)
     elif args.claim == "lemma-h1":
-        report = verify_lemma_h1(args.k, args.max_len, budget=budget)
+        report = verify_lemma_h1(args.k, args.max_len, budget=args.budget)
     elif args.claim == "lemma-2k":
-        report = verify_lemma_2k(args.k, args.max_u_len, budget=budget)
+        report = verify_lemma_2k(args.k, args.max_u_len, budget=args.budget)
     elif args.claim == "lemma-short":
-        report = verify_lemma_short(args.k, args.max_u_len, budget=budget)
+        report = verify_lemma_short(args.k, args.max_u_len, budget=args.budget)
     elif args.claim == "theorem-sq":
-        report = verify_theorem_sq_bound(args.k, args.max_len, bound=args.bound, budget=budget)
+        report = verify_theorem_sq_bound(
+            args.k, args.max_len, bound=args.bound, budget=args.budget
+        )
     else:
         report = verify_construction(args.name, k=args.k, r=args.r)
     if args.json:
@@ -329,7 +336,6 @@ def _search_text(result) -> str:
 
 
 def _run_search(args) -> int:
-    budget = args.budget if args.budget is not None else DEFAULT_NODE_BUDGET
     if args.search_cmd == "table":
         cells = lower_bound_table(
             range(args.r_min, args.r_max + 1),
@@ -337,7 +343,7 @@ def _run_search(args) -> int:
             args.max_len,
             t=args.t,
             witness_cap=args.witness_cap,
-            budget=budget,
+            budget=args.budget,
             jobs=args.jobs,
         )
         rows = [cell.to_json_dict() for cell in cells]
@@ -385,7 +391,7 @@ def _run_search(args) -> int:
         max_start_positions=args.t,
         witness_cap=args.witness_cap,
     )
-    result = search_max_powers(query, budget=budget, jobs=args.jobs)
+    result = search_max_powers(query, budget=args.budget, jobs=args.jobs)
     if args.json:
         _print_json(result.to_json_dict())
     else:

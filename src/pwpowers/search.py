@@ -8,10 +8,12 @@ prefix whose distinct starts already exceed the cap t can be cut without
 losing any optimum; that and the canonicality restriction are the only
 prunings.
 
-Work is always split into the subtrees rooted at a fixed prefix depth, and
-per-subtree node budgets are fixed up front, so results are byte-identical
-for any choice of --jobs: the thread pool only changes who executes which
-subtree, never what is explored.
+Every node is scored by one engine, `_kernels.search_kernel`. A first call
+searches from the empty word down to a fixed prefix depth and lists the
+qualifying nodes of that depth; the subtrees below them are the partitions,
+one kernel call each. Per-partition node budgets are fixed up front, so
+results are byte-identical for any choice of --jobs: the thread pool only
+changes who executes which subtree, never what is explored.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .powers import _scan
 from .words import Alphabet, PartialWord, format_word
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -99,47 +100,26 @@ class SearchResult:
 
 
 def _survey_prefixes(q: SearchQuery, depth: int, budget: int):
-    """Walk the canonical tree down to `depth` symbols in pure Python.
+    """Search the canonical tree from the empty word down to `depth` symbols
+    with one kernel call.
 
-    Returns (nodes, pruned_sym, pruned_start, candidates, partitions,
-    budget_hit): candidates are (occurrence_count, codes) for every
-    qualifying node of length <= depth, partitions the qualifying nodes of
-    length exactly `depth`, whose subtrees remain for the kernel.
+    Returns (result, wit_buf, wit_lens, partitions): result is the kernel's
+    (status, nodes, pruned_sym, pruned_start, best, n_wit) with the empty
+    word counted as a node, and partitions are the qualifying nodes of
+    length exactly `depth`, in lex order, whose subtrees remain.
     """
-    k, r, t, n = q.alphabet_size, q.exponent, q.max_start_positions, q.max_len
-    nodes = 1  # the empty word
-    pruned_sym = 0
-    pruned_start = 0
-    candidates: List[tuple[int, tuple[int, ...]]] = [(0, ())]
-    partitions: List[tuple[int, ...]] = []
-    budget_hit = False
-
-    def expand(codes: tuple[int, ...], max_used: int):
-        nonlocal nodes, pruned_sym, pruned_start, budget_hit
-        limit = min(k, max_used + 1)
-        pruned_sym += k - limit  # len(codes) < depth <= n, so children exist
-        for s in range(limit + 1):
-            if budget_hit:
-                return
-            if nodes >= budget:
-                budget_hit = True
-                return
-            child = codes + (s,)
-            nodes += 1
-            rows = _scan(np.array(child, np.int8), r)
-            if len(set(rows[:, 0].tolist())) > t:
-                pruned_start += 1
-                continue
-            candidates.append((len(rows), child))
-            new_mu = max(max_used, s)
-            if len(child) == depth:
-                partitions.append(child)
-            else:
-                expand(child, new_mu)
-
-    if depth > 0:
-        expand((), 0)
-    return nodes, pruned_sym, pruned_start, candidates, partitions, budget_hit
+    k, wcap = q.alphabet_size, q.witness_cap
+    wit_buf = np.zeros((wcap, depth), np.int8)
+    wit_lens = np.zeros(wcap, np.int32)
+    frontier = np.zeros((_kernels._canonical_table(k, depth)[depth][0], depth), np.int8)
+    # the empty word is the survey's first node, so the kernel gets one less
+    status, nodes, pruned_sym, pruned_start, best, n_wit, n_front = _kernels.search_kernel(
+        np.zeros(0, np.int8), depth, k, q.exponent, q.max_start_positions,
+        budget - 1, wcap, wit_buf, wit_lens, frontier,
+    )
+    result = (status, nodes + 1, pruned_sym, pruned_start, best, n_wit)
+    partitions = [tuple(row) for row in frontier[:n_front].tolist()]
+    return result, wit_buf, wit_lens, partitions
 
 
 def search_max_powers(
@@ -167,61 +147,57 @@ def search_max_powers(
     wcap = query.witness_cap
     depth = min(n, _PARTITION_DEPTH)
 
-    nodes, pruned_sym, pruned_start, candidates, partitions, budget_hit = _survey_prefixes(
-        query, depth, budget
-    )
+    survey, survey_buf, survey_lens, partitions = _survey_prefixes(query, depth, budget)
 
-    part_results = []
-    if not budget_hit and partitions:
-        remaining = budget - nodes
+    results = [(survey, survey_buf, survey_lens)]
+    if survey[0] == 0 and partitions:
+        remaining = budget - survey[1]
         count = len(partitions)
         quotas = [
             remaining // count + (1 if i < remaining % count else 0)
             for i in range(count)
         ]
+        no_frontier = np.zeros((0, n), np.int8)
 
         def run(idx: int):
             prefix = np.array(partitions[idx], np.int8)
             wit_buf = np.zeros((wcap, n), np.int8)
             wit_lens = np.zeros(wcap, np.int32)
             res = _kernels.search_kernel(
-                prefix, n, k, r, t, quotas[idx], wcap, wit_buf, wit_lens
+                prefix, n, k, r, t, quotas[idx], wcap, wit_buf, wit_lens, no_frontier
             )
-            return res, wit_buf, wit_lens
+            return res[:6], wit_buf, wit_lens
 
-        if jobs == 1 or len(partitions) == 1:
-            part_results = [run(i) for i in range(count)]
+        if jobs == 1 or count == 1:
+            results += [run(i) for i in range(count)]
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                part_results = list(pool.map(run, range(count)))
+                results += pool.map(run, range(count))
 
-    best = max(occ for occ, _ in candidates)
-    exhaustive = not budget_hit
-    for (status, p_nodes, p_sym, p_start, p_best, _n_wit), _, _ in part_results:
+    # the empty word scores 0 and is no kernel's node
+    best = max(0, *(int(res[4]) for res, _, _ in results))
+    witness_codes = {()} if best == 0 else set()
+    nodes = pruned_sym = pruned_start = 0
+    exhaustive = True
+    for (status, p_nodes, p_sym, p_start, p_best, n_wit), wit_buf, wit_lens in results:
         nodes += int(p_nodes)
         pruned_sym += int(p_sym)
         pruned_start += int(p_start)
         if status != 0:
             exhaustive = False
-        if p_best > best:
-            best = int(p_best)
-
-    witness_codes = {codes for occ, codes in candidates if occ == best}
-    for (status, _pn, _ps, _pb, p_best, n_wit), wit_buf, wit_lens in part_results:
         if p_best == best:
             for j in range(int(n_wit)):
-                m = int(wit_lens[j])
-                witness_codes.add(tuple(int(c) for c in wit_buf[j, :m]))
+                witness_codes.add(tuple(wit_buf[j, : wit_lens[j]].tolist()))
     ordered = sorted(witness_codes, key=lambda c: (len(c), c))[:wcap]
     alphabet = Alphabet(k)
     witnesses = tuple(PartialWord(c, alphabet) for c in ordered)
 
     return SearchResult(
-        best_count=int(best),
+        best_count=best,
         witnesses=witnesses,
-        nodes_explored=int(nodes),
-        pruned_by_symmetry=int(pruned_sym),
-        pruned_by_start_bound=int(pruned_start),
+        nodes_explored=nodes,
+        pruned_by_symmetry=pruned_sym,
+        pruned_by_start_bound=pruned_start,
         exhaustive=exhaustive,
     )
 

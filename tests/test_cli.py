@@ -299,6 +299,23 @@ json_documents = st.recursive(
 )
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "square-chain", "--k", "1", "--jobs", "2"),
+    ("analyze", "abab", "--r", "2", "--budget", "5"),
+    ("verify", "theorem-sq", "--k", "2", "--max-len", "4", "--jobs", "2"),
+    ("verify", "construction", "--name", "prop2", "--r", "3", "--budget", "5"),
+])
+def test_flags_exist_only_where_read(argv):
+    # --jobs belongs to search and search table, --budget to the searches
+    # and the enumerating verifiers; anywhere else it would do nothing
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "unrecognized arguments" in res.stderr
+    base = run_cli(*argv[:-2])
+    assert base.returncode == 0 and base.stdout
+
+
 class TestJsonWriter:
     """_json_text, which writes every --json document, against the stdlib."""
 

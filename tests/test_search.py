@@ -14,8 +14,10 @@ from pwpowers import (
     power_profile,
     search_max_powers,
 )
+from pwpowers.search import _survey_prefixes
 from helpers import (
     all_code_tuples,
+    brute_occurrences,
     brute_search,
     is_canonical_codes,
     to_word,
@@ -65,6 +67,7 @@ class TestSearchSmall:
             (2, 1, 5, 1),
             (3, 2, 5, 1),
             (3, 2, 6, 2),
+            (5, 2, 3, 1),  # best 0: the empty word is the first witness
         ]:
             best, wits = brute_search(r, k, n, t)
             res = search_max_powers(_query(r, k, n, t))
@@ -147,6 +150,27 @@ class TestDeterminismAndBudget:
             assert len(profile.occurrences) == capped.best_count
             assert len(profile.start_positions) <= 1
 
+    @pytest.mark.parametrize("budget, expected", [
+        (1, (0, [""], 1, 1, 0)),
+        (2, (0, ["", "."], 2, 2, 0)),
+        (36, (2, [".aba"], 36, 3, 18)),
+        (37, (2, [".aba"], 37, 3, 19)),
+        (38, (2, [".aba"], 38, 3, 20)),
+    ])
+    def test_budget_stops_inside_the_survey(self, budget, expected):
+        # the prefix survey of r=2, k=2 holds 37 nodes, the empty word
+        # included; these budgets stop inside it, at its end and just past it
+        best, witnesses, nodes, pruned_sym, pruned_start = expected
+        res = search_max_powers(_query(2, 2, 8), budget=budget)
+        assert res.to_json_dict() == {
+            "bestCount": best,
+            "witnesses": witnesses,
+            "nodesExplored": nodes,
+            "prunedBySymmetry": pruned_sym,
+            "prunedByStartBound": pruned_start,
+            "exhaustive": False,
+        }
+
     def test_budget_determinism_across_jobs(self):
         a = search_max_powers(_query(2, 2, 10), budget=300, jobs=1)
         b = search_max_powers(_query(2, 2, 10), budget=300, jobs=8)
@@ -165,6 +189,32 @@ class TestDeterminismAndBudget:
             search_max_powers(_query(2, 2, 4), budget=0)
         with pytest.raises(ValueError):
             search_max_powers(_query(2, 2, 4), jobs=0)
+
+
+class TestSurvey:
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_frontier_matches_oracle(self, r):
+        # a node is explored when its parent has at most t starts (starts
+        # only grow by appending, so then every ancestor has too), and the
+        # explored nodes of full depth with at most t starts are the
+        # partitions, in lex order
+        for k in (1, 2, 3):
+            starts = {
+                codes: len({s for s, _ in brute_occurrences(codes, k, r)})
+                for codes in all_code_tuples(4, k)
+                if is_canonical_codes(codes)
+            }
+            for t in (1, 2):
+                for depth in (1, 2, 3, 4):
+                    explored = [c for c in starts if 1 <= len(c) <= depth and starts[c[:-1]] <= t]
+                    pruned = [c for c in explored if starts[c] > t]
+                    frontier = sorted(c for c in explored if len(c) == depth and starts[c] <= t)
+                    res, _, _, partitions = _survey_prefixes(_query(r, k, 9, t), depth, 10**9)
+                    case = (r, k, t, depth)
+                    assert partitions == frontier, case
+                    assert res[0] == 0, case
+                    assert res[1] == 1 + len(explored), case
+                    assert res[3] == len(pruned), case
 
 
 class TestKnownBoundsAndTable:
