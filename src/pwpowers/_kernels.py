@@ -120,10 +120,13 @@ def occurrence_scan(word, r, out):
 # ---------------------------------------------------------------------------
 # verifier kernels
 #
-# Shared return convention: status 0 = claim holds on the whole space,
-# 1 = counterexample found (copied into `cex`), 2 = budget exhausted.
-# `checked` counts canonical words actually tested, `enumerated` counts every
-# word the odometer produced (canonical or not); the budget caps `enumerated`.
+# Shared return convention: (status, checked, enumerated, ...). Status 0 =
+# claim holds on the whole space, 1 = counterexample found, 2 = budget
+# exhausted. `checked` counts canonical words actually tested, `enumerated`
+# counts every word the odometer produced (canonical or not); the budget
+# caps `enumerated`. The compiled odometer kernels copy a counterexample into
+# the caller's `cex` buffer and return its length; the start-bounded kernels
+# return it as a code tuple.
 # ---------------------------------------------------------------------------
 
 
@@ -137,6 +140,31 @@ def _is_canonical_codes(w):
         if s == mu + 1:
             mu = s
     return True
+
+
+def _budget_reach(symbols, max_len, budget):
+    # longest length, at most max_len, whose first word an odometer over
+    # `symbols` symbols per position (length first, then lexicographic)
+    # produces within `budget` words; 0 when the budget is below 1
+    length = produced = 0  # produced: the words of length 1..length
+    while length < max_len and produced < budget:
+        length += 1
+        produced += symbols**length
+    return length
+
+
+@compile_kernel
+def _next_full_word(w, k):
+    # advance the odometer over letters 1..k by one word of the same
+    # length; False, with w back at all 1s, after the last one
+    j = w.shape[0] - 1
+    while j >= 0:
+        if w[j] < k:
+            w[j] += 1
+            return True
+        w[j] = 1
+        j -= 1
+    return False
 
 
 @compile_kernel
@@ -173,17 +201,9 @@ def fine_wilf_kernel(k, max_len, budget, cex):
                         while b:
                             a, b = b, a % b
                         if n >= p + q - a and mask & (1 << (a - 1)) == 0:
-                            for i in range(n):
-                                cex[i] = w[i]
+                            cex[:n] = w
                             return 1, checked, enumerated, n, p, q
-            j = n - 1
-            while j >= 0:
-                if w[j] < k:
-                    w[j] += 1
-                    break
-                w[j] = 1
-                j -= 1
-            if j < 0:
+            if not _next_full_word(w, k):
                 break
     return 0, checked, enumerated, 0, 0, 0
 
@@ -192,12 +212,13 @@ def fine_wilf_kernel(k, max_len, budget, cex):
 def corollary_full_kernel(r, k, max_len, budget, cex):
     # full words: whenever some position starts two or more r-th power
     # occurrences, a strictly later position must start one as well.
-    # Occurrences are sorted by start, so only the last start can violate.
-    out = np.empty(((max_len // r) * max_len + 1, 2), np.int32)
+    # Occurrences are sorted by start, so only the last start can violate,
+    # and it does when the last two rows share it.
     checked = 0
     enumerated = 0
     for n in range(1, max_len + 1):
         w = np.ones(n, np.int8)
+        out = np.empty(((n // r) * n + 1, 2), np.int32)
         while True:
             enumerated += 1
             if enumerated > budget:
@@ -205,25 +226,10 @@ def corollary_full_kernel(r, k, max_len, budget, cex):
             if _is_canonical_codes(w):
                 checked += 1
                 cnt = occurrence_scan(w, r, out)
-                if cnt > 0:
-                    last = out[cnt - 1, 0]
-                    same = 0
-                    j = cnt - 1
-                    while j >= 0 and out[j, 0] == last:
-                        same += 1
-                        j -= 1
-                    if same >= 2:
-                        for i in range(n):
-                            cex[i] = w[i]
-                        return 1, checked, enumerated, n
-            j = n - 1
-            while j >= 0:
-                if w[j] < k:
-                    w[j] += 1
-                    break
-                w[j] = 1
-                j -= 1
-            if j < 0:
+                if cnt >= 2 and out[cnt - 2, 0] == out[cnt - 1, 0]:
+                    cex[:n] = w
+                    return 1, checked, enumerated, n
+            if not _next_full_word(w, k):
                 break
     return 0, checked, enumerated, 0
 
@@ -308,12 +314,12 @@ def _canonical_rank(codes, f):
 
 def _decide_start_bounded(k, max_len, budget, violates):
     # shared body of the two kernels below; returns (status, checked,
-    # enumerated, counterexample codes, best, witness codes). A run stops at
-    # the first premise word past the budget, so the walk never goes beyond
-    # the longest length whose first word (all holes) the budget reaches.
-    walk_len = 0
-    while walk_len < max_len and _position((0,) * (walk_len + 1), k) <= budget:
-        walk_len += 1
+    # enumerated, counterexample codes or None, best, witness codes or None),
+    # best being the largest square count of a premise word before the stop.
+    # A run stops at the first premise word past the budget, so the walk
+    # never goes beyond the longest length whose first word (all holes) the
+    # budget reaches.
+    walk_len = _budget_reach(k + 1, max_len, budget)
     f = _canonical_table(k, walk_len)
     best, witness = 0, None
     for codes, squares in _start_bounded_words(k, walk_len):
@@ -331,31 +337,21 @@ def _decide_start_bounded(k, max_len, budget, violates):
     return 2, checked, max(budget + 1, 1), None, best, witness
 
 
-def _store(buf, codes):
-    # copy `codes` to the head of `buf`; returns its length
-    buf[:len(codes)] = codes
-    return len(codes)
-
-
-def lemma_h1_kernel(k, max_len, budget, cex):
+def lemma_h1_kernel(k, max_len, budget):
     # words with two or more squares all starting at the same position must
     # have exactly one hole, located at position 1
-    status, checked, enumerated, bad, _, _ = _decide_start_bounded(
+    return _decide_start_bounded(
         k, max_len, budget,
         lambda codes, squares: squares > 1 and (codes[0] != 0 or codes.count(0) != 1),
     )
-    return status, checked, enumerated, 0 if bad is None else _store(cex, bad)
 
 
-def theorem_sq_kernel(k, max_len, bound, budget, cex, wit):
+def theorem_sq_kernel(k, max_len, bound, budget):
     # words whose squares all start at one position carry at most `bound`
-    # of them; also tracks the best count attained and its first witness
-    status, checked, enumerated, bad, best, witness = _decide_start_bounded(
+    # of them
+    return _decide_start_bounded(
         k, max_len, budget, lambda codes, squares: squares > bound
     )
-    cex_len = 0 if bad is None else _store(cex, bad)
-    wit_len = -1 if witness is None else _store(wit, witness)
-    return status, checked, enumerated, cex_len, best, wit_len
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +459,18 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
     """
     n = max_len
     pmax = n // r
-    w = [0] * (n + 1)
-    marked_at = [0] * (n + 1)  # depth at which a start was first marked, or 0
-    max_used = [0] * (n + 2)
-    occ = [0] * (n + 2)
-    nstarts = [0] * (n + 2)
-    trial = [0] * (n + 2)
+    d0 = prefix.shape[0]
+    # no node lies deeper than the prefix plus one symbol per node of budget
+    deep = min(n, d0 + node_budget + 1)
+    w = [0] * (deep + 1)
+    marked_at = [0] * (deep + 1)  # depth at which a start was first marked, or 0
+    max_used = [0] * (deep + 2)
+    occ = [0] * (deep + 2)
+    nstarts = [0] * (deep + 2)
+    trial = [0] * (deep + 2)
     bar = [-1]  # barrier row 0: the empty word has no break pair
     base = [0]
 
-    d0 = prefix.shape[0]
     for m in range(1, d0 + 1):
         s = int(prefix[m - 1])
         w[m - 1] = s

@@ -402,6 +402,15 @@ def _run_search(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "search" and args.search_cmd == "table":
+        # argparse lets `table`'s defaults overwrite the options given before
+        # it, and `search` alone has no positional, so anything between the
+        # two words is an option that would be dropped
+        argv = sys.argv[1:] if argv is None else argv
+        ahead = argv[1:argv.index("table")]
+        if ahead:
+            parser.error(f"search table: option {ahead[0].split('=')[0]} "
+                         "given before 'table' is not read; table options go after it")
     try:
         if args.command == "analyze":
             return _run_analyze(args)
@@ -415,6 +424,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (PartialWordError, ValueError) as exc:
         print(f"pwpowers: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"pwpowers: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -161,7 +161,8 @@ def search_max_powers(
 
         def run(idx: int):
             prefix = np.array(partitions[idx], np.int8)
-            wit_buf = np.zeros((wcap, n), np.int8)
+            # a witness is no deeper than the deepest node the quota reaches
+            wit_buf = np.zeros((wcap, min(n, len(prefix) + quotas[idx] + 1)), np.int8)
             wit_lens = np.zeros(wcap, np.int32)
             res = _kernels.search_kernel(
                 prefix, n, k, r, t, quotas[idx], wcap, wit_buf, wit_lens, no_frontier

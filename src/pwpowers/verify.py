@@ -89,6 +89,25 @@ def _budget_error(claim: str, enumerated: int, budget: int) -> ResourceLimitErro
     )
 
 
+def _report(
+    claim: str,
+    parameters: dict,
+    checked: int,
+    counterexample: Optional[Counterexample],
+    findings: dict,
+    t0: float,
+) -> VerificationReport:
+    return VerificationReport(
+        claim=claim,
+        parameters=parameters,
+        instances_checked=int(checked),
+        outcome="pass" if counterexample is None else "fail",
+        counterexample=counterexample,
+        findings=findings,
+        elapsed_seconds=time.perf_counter() - t0,
+    )
+
+
 def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
     """Every full word of length up to max_len over k letters that has
     strong periods p and q with |w| >= p + q - gcd(p, q) also has strong
@@ -109,15 +128,8 @@ def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -
         word = PartialWord(cex_buf[:cex_len], Alphabet(k))
         g = int(np.gcd(p, q))
         counterexample = Counterexample(word, {"p": int(p), "q": int(q), "gcd": g})
-    return VerificationReport(
-        claim="fine-wilf",
-        parameters={"k": k, "maxLen": max_len},
-        instances_checked=int(checked),
-        outcome="pass" if status == 0 else "fail",
-        counterexample=counterexample,
-        findings={"wordsEnumerated": int(enumerated)},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    return _report("fine-wilf", {"k": k, "maxLen": max_len}, checked, counterexample,
+                   {"wordsEnumerated": int(enumerated)}, t0)
 
 
 def verify_corollary_full(r: int, k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
@@ -130,7 +142,8 @@ def verify_corollary_full(r: int, k: int, max_len: int, budget: int = DEFAULT_CH
     _require_alphabet(k)
     _require_positive("max_len", max_len)
     t0 = time.perf_counter()
-    cex_buf = np.zeros(max_len, np.int8)
+    # no counterexample is longer than the longest length the budget reaches
+    cex_buf = np.zeros(_kernels._budget_reach(k, max_len, budget), np.int8)
     status, checked, enumerated, cex_len = _kernels.corollary_full_kernel(
         r, k, max_len, budget, cex_buf
     )
@@ -148,15 +161,8 @@ def verify_corollary_full(r: int, k: int, max_len: int, budget: int = DEFAULT_CH
                 "occurrencesAtStart": sum(1 for o in profile.occurrences if o.start == last),
             },
         )
-    return VerificationReport(
-        claim="corollary-full",
-        parameters={"r": r, "k": k, "maxLen": max_len},
-        instances_checked=int(checked),
-        outcome="pass" if status == 0 else "fail",
-        counterexample=counterexample,
-        findings={"wordsEnumerated": int(enumerated)},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    return _report("corollary-full", {"r": r, "k": k, "maxLen": max_len}, checked,
+                   counterexample, {"wordsEnumerated": int(enumerated)}, t0)
 
 
 def verify_lemma_h1(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
@@ -165,15 +171,12 @@ def verify_lemma_h1(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) ->
     _require_alphabet(k)
     _require_positive("max_len", max_len)
     t0 = time.perf_counter()
-    cex_buf = np.zeros(max_len, np.int8)
-    status, checked, enumerated, cex_len = _kernels.lemma_h1_kernel(
-        k, max_len, budget, cex_buf
-    )
+    status, checked, enumerated, bad, _, _ = _kernels.lemma_h1_kernel(k, max_len, budget)
     if status == 2:
         raise _budget_error("lemma-h1", enumerated, budget)
     counterexample = None
-    if status == 1:
-        word = PartialWord(cex_buf[:cex_len], Alphabet(k))
+    if bad is not None:
+        word = PartialWord(bad, Alphabet(k))
         profile = power_profile(word, 2)
         counterexample = Counterexample(
             word,
@@ -183,20 +186,20 @@ def verify_lemma_h1(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) ->
                 "holes": list(word.hole_positions()),
             },
         )
-    return VerificationReport(
-        claim="lemma-h1",
-        parameters={"k": k, "maxLen": max_len},
-        instances_checked=int(checked),
-        outcome="pass" if status == 0 else "fail",
-        counterexample=counterexample,
-        findings={"wordsEnumerated": int(enumerated)},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    return _report("lemma-h1", {"k": k, "maxLen": max_len}, checked, counterexample,
+                   {"wordsEnumerated": enumerated}, t0)
 
 
-def _hole_prefix_pairs(k: int, max_u_len: int, budget: int, claim: str):
-    """All (w, u_len, c) with w = ◊u'cu', u = ◊u' of length u_len <= max_u_len
-    and c a letter: the joint shape behind the two interior-square lemmas."""
+def _verify_hole_prefix(claim: str, k: int, max_u_len: int, budget: int, refute) -> VerificationReport:
+    """Check a claim on every w = ◊u'cu' with u = ◊u' of length at most
+    max_u_len and c a letter: the joint shape behind the two interior-square
+    lemmas. refute(w, u_len, c, u') returns the counterexample context of a
+    w that breaks the claim, else None."""
+    if not isinstance(k, int) or not 2 <= k <= 26:
+        raise ValueError(f"alphabet size must be in 2..26, got {k!r}")
+    _require_positive("max_u_len", max_u_len)
+    t0 = time.perf_counter()
+    parameters = {"k": k, "maxULen": max_u_len}
     alphabet = Alphabet(k)
     checked = 0
     for u_len in range(1, max_u_len + 1):
@@ -205,82 +208,45 @@ def _hole_prefix_pairs(k: int, max_u_len: int, budget: int, claim: str):
                 checked += 1
                 if checked > budget:
                     raise _budget_error(claim, checked, budget)
-                codes = (0,) + tail + (c,) + tail
-                yield PartialWord(codes, alphabet), u_len, c, tail
+                w = PartialWord((0,) + tail + (c,) + tail, alphabet)
+                context = refute(w, u_len, c, tail)
+                if context is not None:
+                    return _report(claim, parameters, checked, Counterexample(w, context), {}, t0)
+    return _report(claim, parameters, checked, None, {}, t0)
 
 
 def verify_lemma_2k(k: int, max_u_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
     """For w = ◊u'cu' (u = ◊u', v = cu' compatible with every completion of
     u): any square occurrence from position 1 that is longer than |u| but
     shorter than the whole word forces a square start strictly inside w."""
-    if not isinstance(k, int) or not 2 <= k <= 26:
-        raise ValueError(f"alphabet size must be in 2..26, got {k!r}")
-    _require_positive("max_u_len", max_u_len)
-    t0 = time.perf_counter()
-    checked = 0
-    counterexample = None
-    outcome = "pass"
-    for w, u_len, c, tail in _hole_prefix_pairs(k, max_u_len, budget, "lemma-2k"):
-        checked += 1
+
+    def refute(w, u_len, c, tail):
         occs = power_occurrences(w, 2)
-        has_interior_start = any(o.start > 1 for o in occs)
+        if any(o.start > 1 for o in occs):
+            return None
         for o in occs:
-            if o.start == 1 and u_len < o.length < len(w) and not has_interior_start:
-                counterexample = Counterexample(
-                    w, {"uLen": u_len, "squareLength": o.length}
-                )
-                outcome = "fail"
-                break
-        if outcome == "fail":
-            break
-    return VerificationReport(
-        claim="lemma-2k",
-        parameters={"k": k, "maxULen": max_u_len},
-        instances_checked=checked,
-        outcome=outcome,
-        counterexample=counterexample,
-        findings={},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+            if o.start == 1 and u_len < o.length < len(w):
+                return {"uLen": u_len, "squareLength": o.length}
+        return None
+
+    return _verify_hole_prefix("lemma-2k", k, max_u_len, budget, refute)
 
 
 def verify_lemma_short(k: int, max_u_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
     """For w = ◊u'cu' as above: any square occurrence w[1..2m] with
     2m <= |u| and w[m+1] equal to the first letter of v = cu' forces a
     square occurrence inside v itself."""
-    if not isinstance(k, int) or not 2 <= k <= 26:
-        raise ValueError(f"alphabet size must be in 2..26, got {k!r}")
-    _require_positive("max_u_len", max_u_len)
-    t0 = time.perf_counter()
-    checked = 0
-    counterexample = None
-    outcome = "pass"
-    alphabet = Alphabet(k)
-    for w, u_len, c, tail in _hole_prefix_pairs(k, max_u_len, budget, "lemma-short"):
-        checked += 1
-        codes = w.codes
+
+    def refute(w, u_len, c, tail):
         for o in power_occurrences(w, 2):
-            if o.start == 1 and o.length <= u_len:
-                m = o.length // 2
-                if int(codes[m]) == c:  # w[m+1] equals v[1]
-                    v = PartialWord((c,) + tail, alphabet)
-                    if not power_occurrences(v, 2):
-                        counterexample = Counterexample(
-                            w, {"uLen": u_len, "squareLength": o.length, "v": format_word(v)}
-                        )
-                        outcome = "fail"
-                        break
-        if outcome == "fail":
-            break
-    return VerificationReport(
-        claim="lemma-short",
-        parameters={"k": k, "maxULen": max_u_len},
-        instances_checked=checked,
-        outcome=outcome,
-        counterexample=counterexample,
-        findings={},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+            # w[m+1] equals v[1], for m = |square| / 2
+            if o.start == 1 and o.length <= u_len and int(w.codes[o.length // 2]) == c:
+                v = PartialWord((c,) + tail, w.alphabet)
+                if not power_occurrences(v, 2):
+                    return {"uLen": u_len, "squareLength": o.length, "v": format_word(v)}
+        return None
+
+    return _verify_hole_prefix("lemma-short", k, max_u_len, budget, refute)
 
 
 def verify_theorem_sq_bound(
@@ -302,32 +268,23 @@ def verify_theorem_sq_bound(
         bound = k
     _require_positive("bound", bound)
     t0 = time.perf_counter()
-    cex_buf = np.zeros(max_len, np.int8)
-    wit_buf = np.zeros(max_len, np.int8)
-    status, checked, enumerated, cex_len, best, wit_len = _kernels.theorem_sq_kernel(
-        k, max_len, bound, budget, cex_buf, wit_buf
+    status, checked, enumerated, bad, best, witness = _kernels.theorem_sq_kernel(
+        k, max_len, bound, budget
     )
     if status == 2:
         raise _budget_error("theorem-sq", enumerated, budget)
+    alphabet = Alphabet(k)
     counterexample = None
-    if status == 1:
-        word = PartialWord(cex_buf[:cex_len], Alphabet(k))
-        profile = power_profile(word, 2)
+    if bad is not None:
+        word = PartialWord(bad, alphabet)
         counterexample = Counterexample(
-            word, {"squares": len(profile.occurrences), "bound": bound}
+            word, {"squares": len(power_occurrences(word, 2)), "bound": bound}
         )
-    findings: dict = {"wordsEnumerated": int(enumerated), "maxSquares": int(best)}
-    if wit_len >= 0:
-        findings["maxWitness"] = format_word(PartialWord(wit_buf[:wit_len], Alphabet(k)))
-    return VerificationReport(
-        claim="theorem-sq",
-        parameters={"k": k, "maxLen": max_len, "bound": bound},
-        instances_checked=int(checked),
-        outcome="pass" if status == 0 else "fail",
-        counterexample=counterexample,
-        findings=findings,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    findings: dict = {"wordsEnumerated": enumerated, "maxSquares": best}
+    if witness is not None:
+        findings["maxWitness"] = format_word(PartialWord(witness, alphabet))
+    return _report("theorem-sq", {"k": k, "maxLen": max_len, "bound": bound}, checked,
+                   counterexample, findings, t0)
 
 
 def verify_construction(name: str, k: Optional[int] = None, r: Optional[int] = None) -> VerificationReport:
@@ -337,38 +294,28 @@ def verify_construction(name: str, k: Optional[int] = None, r: Optional[int] = N
     r an odd multiple of 3), cube-examples (no parameters).
     """
     t0 = time.perf_counter()
-    targets: list[tuple[PartialWord, int, set[tuple[int, int]]]] = []
     if name == "square-chain":
         if k is None:
             raise ValueError("square-chain needs k")
-        w = square_chain(k)
-        expected = {(1, 2**j) for j in range(1, k + 1)}
-        targets.append((w, 2, expected))
+        targets = [(square_chain(k), 2, {(1, 2**j) for j in range(1, k + 1)})]
         parameters = {"name": name, "k": k}
     elif name == "prop2":
         if r is None:
             raise ValueError("prop2 needs r")
-        w = prop2_word(r)
-        targets.append((w, r, {(1, r), (1, 2 * r)}))
+        targets = [(prop2_word(r), r, {(1, r), (1, 2 * r)})]
         parameters = {"name": name, "r": r}
     elif name == "prop3":
         if r is None:
             raise ValueError("prop3 needs r")
-        w = prop3_word(r)
-        targets.append((w, r, {(1, r), (1, 2 * r), (1, 3 * r)}))
+        targets = [(prop3_word(r), r, {(1, r), (1, 2 * r), (1, 3 * r)})]
         parameters = {"name": name, "r": r}
     elif name == "cube-examples":
-        for w in cube_examples():
-            targets.append((w, 3, {(1, 3), (1, 6), (1, 9)}))
+        targets = [(w, 3, {(1, 3), (1, 6), (1, 9)}) for w in cube_examples()]
         parameters = {"name": name}
     else:
         raise ValueError(f"unknown construction {name!r}")
 
-    checked = 0
-    counterexample = None
-    outcome = "pass"
-    for w, rr, expected in targets:
-        checked += 1
+    for checked, (w, rr, expected) in enumerate(targets, start=1):
         profile = power_profile(w, rr)
         got = {(o.start, o.length) for o in profile.occurrences}
         expected_unique = 1 if expected else None
@@ -381,14 +328,5 @@ def verify_construction(name: str, k: Optional[int] = None, r: Optional[int] = N
                     "uniqueStart": profile.unique_start,
                 },
             )
-            outcome = "fail"
-            break
-    return VerificationReport(
-        claim=f"construction:{name}",
-        parameters=parameters,
-        instances_checked=checked,
-        outcome=outcome,
-        counterexample=counterexample,
-        findings={},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+            return _report(f"construction:{name}", parameters, checked, counterexample, {}, t0)
+    return _report(f"construction:{name}", parameters, len(targets), None, {}, t0)

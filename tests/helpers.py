@@ -120,7 +120,8 @@ def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = No
     Returns (status, checked, enumerated, counterexample, best, witness):
     status 0 pass, 1 counterexample, 2 budget exceeded; counterexample and
     witness are code tuples or None; best and witness track the largest
-    square count of a premise word seen (theorem-sq only).
+    square count of a premise word seen before the stop, and the first word
+    attaining it.
     """
     checked = enumerated = best = 0
     witness = None
@@ -142,7 +143,7 @@ def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = No
             violates = squares > bound
         if violates:
             return 1, checked, enumerated, codes, best, witness
-        if bound is not None and squares > best:
+        if squares > best:
             best, witness = squares, codes
     return 0, checked, enumerated, None, best, witness
 

@@ -5,15 +5,18 @@ writer against the stdlib encoder."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pwpowers import cli
 from pwpowers.cli import _json_text
 
 PKG = [sys.executable, "-m", "pwpowers"]
@@ -164,6 +167,19 @@ class TestVerify:
         assert "100000001 words produced" in res.stderr
         assert elapsed < 5
 
+    @pytest.mark.parametrize("argv", [
+        ("theorem-sq", "--k", "2"),
+        ("lemma-h1", "--k", "2"),
+        ("corollary-full", "--r", "2", "--k", "2", "--budget", "5"),
+    ])
+    def test_huge_max_len_stops_at_the_budget(self, argv, capsys):
+        # nothing may be sized by --max-len itself: a buffer of 10^12
+        # symbols does not fit in memory
+        assert cli.main(["verify", *argv, "--max-len", "1000000000000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "enumeration exceeded the check budget" in err
+
     def test_json_report(self):
         res = run_cli("verify", "fine-wilf", "--k", "2", "--max-len", "8", "--json")
         assert res.returncode == 0
@@ -184,6 +200,28 @@ class TestVerify:
         assert res.returncode == 0
         res = run_cli("verify", "construction", "--name", "prop2")
         assert res.returncode == 2  # --r is required for this family
+
+
+# every verify claim's pass case, the refuted --bound 1 probe, one budget
+# stop per claim and a validation error, each in text and --json, as the
+# CLI printed them with the wall-clock fields masked
+VERIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "verify_cli_golden.json").read_text(encoding="utf-8")
+)
+
+
+def _mask_elapsed(text):
+    text = re.sub(r"elapsed: \d+\.\d+s", "elapsed: -", text)
+    return re.sub(r'"elapsedSeconds": [-+.e\d]+', '"elapsedSeconds": -', text)
+
+
+@pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=lambda case: case["argv"])
+def test_verify_golden(case, capsys):
+    code = cli.main(case["argv"].split())
+    out, err = capsys.readouterr()
+    assert (code, _mask_elapsed(out), _mask_elapsed(err)) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
 
 
 class TestSearch:
@@ -212,19 +250,25 @@ class TestSearch:
         assert json.loads(res.stdout)["exhaustive"] is False
 
     def test_huge_max_len_with_small_budget(self):
-        # kernel state must grow with the depth reached, not with max-len:
-        # a dense per-length table for 100000 symbols does not fit in memory
-        res = run_cli("search", "--r", "2", "--k", "2", "--max-len", "100000",
-                      "--budget", "50", "--json")
-        assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout) == {
-            "bestCount": 2,
-            "witnesses": [".aba"],
-            "nodesExplored": 50,
-            "prunedBySymmetry": 3,
-            "prunedByStartBound": 31,
-            "exhaustive": False,
-        }
+        # kernel state and witness rows must grow with the depth a budget
+        # can reach, not with max-len: a dense per-length table for 100000
+        # symbols, or a witness row of 10^12, does not fit in memory
+        for max_len, budget, nodes, pruned_start, exhaustive in (
+            ("100000", "50", 50, 31, False),
+            # the r=2, k=2, t=1 search tree is finite: 58 nodes in all
+            ("1000000000000", "100", 58, 38, True),
+        ):
+            res = run_cli("search", "--r", "2", "--k", "2", "--max-len", max_len,
+                          "--budget", budget, "--json")
+            assert res.returncode == 0, res.stderr
+            assert json.loads(res.stdout) == {
+                "bestCount": 2,
+                "witnesses": [".aba"],
+                "nodesExplored": nodes,
+                "prunedBySymmetry": 3,
+                "prunedByStartBound": pruned_start,
+                "exhaustive": exhaustive,
+            }
 
     def test_jobs_are_byte_identical(self):
         base = run_cli("search", "--r", "3", "--k", "2", "--max-len", "9", "--json")
@@ -273,6 +317,27 @@ class TestSearch:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "range is empty" in res.stderr
+
+
+@pytest.mark.parametrize("ahead", [("--budget", "5"), ("--json",), ("--r", "9")])
+def test_search_options_before_table_fail(ahead):
+    # `table` would overwrite them with its own defaults, or never read them
+    res = run_cli("search", *ahead, "table", "--r-min", "2", "--r-max", "2",
+                  "--k-min", "2", "--k-max", "2", "--max-len", "8")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert ahead[0] in res.stderr
+
+
+def test_out_of_memory_is_a_clean_exit(monkeypatch, capsys):
+    def power_profile(word, r):
+        raise MemoryError("Unable to allocate 53.6 GiB for an array")
+
+    monkeypatch.setattr(cli, "power_profile", power_profile)
+    assert cli.main(["analyze", "abab", "--r", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "pwpowers: out of memory: Unable to allocate 53.6 GiB for an array\n"
 
 
 json_strings = st.text(

@@ -1,7 +1,6 @@
 """Bounded exhaustive verifiers: pass verdicts, counterexample machinery,
 budgets, determinism."""
 
-import numpy as np
 import pytest
 
 from helpers import expected_verify_report, odometer_reference
@@ -19,6 +18,7 @@ from pwpowers import (
     verify_lemma_h1,
     verify_theorem_sq_bound,
 )
+from pwpowers import verify as verify_module
 
 
 class TestFineWilf:
@@ -155,14 +155,10 @@ def _report_or_error(verifier, *args, **kwargs):
     return doc
 
 
-def _codes(buf, length):
-    return None if length < 0 else tuple(int(c) for c in buf[:length])
-
-
 class TestOdometerReferenceGrid:
-    """theorem-sq and lemma-h1 against the odometer reference: the kernel
-    tuples (including the counts at a budget stop) and the full reports or
-    budget error texts, on pass, fail and budget-exceeded cases."""
+    """theorem-sq and lemma-h1 against the odometer reference: the kernels'
+    full return tuples (including the counts at a budget stop) and the full
+    reports or budget error texts, on pass, fail and budget-exceeded cases."""
 
     @pytest.mark.parametrize("k", sorted(GRID_LENGTHS))
     def test_theorem_sq(self, k):
@@ -170,14 +166,9 @@ class TestOdometerReferenceGrid:
             for bound in (1, 2, 3):
                 for budget in GRID_BUDGETS:
                     case = (n, bound, budget)
-                    cex, wit = np.zeros(n, np.int8), np.zeros(n, np.int8)
-                    status, checked, enumerated, cex_len, best, wit_len = (
-                        _kernels.theorem_sq_kernel(k, n, bound, budget, cex, wit)
-                    )
-                    got = (status, checked, enumerated,
-                           _codes(cex, cex_len if status == 1 else -1),
-                           best, _codes(wit, wit_len))
-                    assert got == odometer_reference(k, n, budget, bound), case
+                    assert _kernels.theorem_sq_kernel(k, n, bound, budget) == (
+                        odometer_reference(k, n, budget, bound)
+                    ), case
                     assert _report_or_error(
                         verify_theorem_sq_bound, k, n, bound=bound, budget=budget
                     ) == expected_verify_report(k, n, budget, bound), case
@@ -187,16 +178,112 @@ class TestOdometerReferenceGrid:
         for n in range(1, GRID_LENGTHS[k] + 1):
             for budget in GRID_BUDGETS:
                 case = (n, budget)
-                cex = np.zeros(n, np.int8)
-                status, checked, enumerated, cex_len = _kernels.lemma_h1_kernel(
-                    k, n, budget, cex
-                )
-                ref = odometer_reference(k, n, budget)
-                assert (status, checked, enumerated,
-                        _codes(cex, cex_len if status == 1 else -1)) == ref[:4], case
+                assert _kernels.lemma_h1_kernel(k, n, budget) == (
+                    odometer_reference(k, n, budget)
+                ), case
                 assert _report_or_error(
                     verify_lemma_h1, k, n, budget=budget
                 ) == expected_verify_report(k, n, budget), case
+
+
+def _doc(report):
+    doc = report.to_json_dict()
+    del doc["elapsedSeconds"]
+    return doc
+
+
+class TestFailureBranches:
+    """Every claim here is a theorem, so no real run reaches the failure
+    branch; each test makes the kernel or the scan refute one chosen word
+    and pins the report the verifier builds from it."""
+
+    def test_fine_wilf(self, monkeypatch):
+        def kernel(k, max_len, budget, cex):
+            cex[:4] = (1, 2, 1, 2)
+            return 1, 7, 9, 4, 2, 4
+
+        monkeypatch.setattr(_kernels, "fine_wilf_kernel", kernel)
+        assert _doc(verify_fine_wilf(2, 6)) == {
+            "claim": "fine-wilf",
+            "parameters": {"k": 2, "maxLen": 6},
+            "instancesChecked": 7,
+            "outcome": "fail",
+            "counterexample": {"word": "abab", "context": {"p": 2, "q": 4, "gcd": 2}},
+            "findings": {"wordsEnumerated": 9},
+        }
+
+    def test_corollary_full(self, monkeypatch):
+        def kernel(r, k, max_len, budget, cex):
+            cex[:4] = (1, 2, 2, 1)
+            return 1, 5, 8, 4
+
+        monkeypatch.setattr(_kernels, "corollary_full_kernel", kernel)
+        assert _doc(verify_corollary_full(2, 2, 6)) == {
+            "claim": "corollary-full",
+            "parameters": {"r": 2, "k": 2, "maxLen": 6},
+            "instancesChecked": 5,
+            "outcome": "fail",
+            "counterexample": {
+                "word": "abba", "context": {"start": 2, "occurrencesAtStart": 1},
+            },
+            "findings": {"wordsEnumerated": 8},
+        }
+
+    def test_lemma_h1(self, monkeypatch):
+        # the real tree walk, refuting `aa` (odometer position 8, the 6th
+        # canonical word)
+        decide = _kernels._decide_start_bounded
+        monkeypatch.setattr(
+            _kernels, "_decide_start_bounded",
+            lambda k, max_len, budget, violates: decide(
+                k, max_len, budget, lambda codes, squares: codes == (1, 1)
+            ),
+        )
+        assert _doc(verify_lemma_h1(2, 4)) == {
+            "claim": "lemma-h1",
+            "parameters": {"k": 2, "maxLen": 4},
+            "instancesChecked": 6,
+            "outcome": "fail",
+            "counterexample": {
+                "word": "aa", "context": {"squares": 1, "startPositions": [1], "holes": []},
+            },
+            "findings": {"wordsEnumerated": 8},
+        }
+
+    def test_lemma_2k(self, monkeypatch):
+        # hide the interior starts of .abaab, leaving its square .aba at 1
+        scan = verify_module.power_occurrences
+        monkeypatch.setattr(
+            verify_module, "power_occurrences",
+            lambda w, r: [o for o in scan(w, r) if o.start == 1]
+            if format_word(w) == ".abaab" else scan(w, r),
+        )
+        assert _doc(verify_lemma_2k(2, 4)) == {
+            "claim": "lemma-2k",
+            "parameters": {"k": 2, "maxULen": 4},
+            "instancesChecked": 9,
+            "outcome": "fail",
+            "counterexample": {"word": ".abaab", "context": {"uLen": 3, "squareLength": 4}},
+            "findings": {},
+        }
+
+    def test_lemma_short(self, monkeypatch):
+        # v = aa of w = .aaa loses its square
+        scan = verify_module.power_occurrences
+        monkeypatch.setattr(
+            verify_module, "power_occurrences",
+            lambda w, r: [] if format_word(w) == "aa" else scan(w, r),
+        )
+        assert _doc(verify_lemma_short(2, 4)) == {
+            "claim": "lemma-short",
+            "parameters": {"k": 2, "maxULen": 4},
+            "instancesChecked": 3,
+            "outcome": "fail",
+            "counterexample": {
+                "word": ".aaa", "context": {"uLen": 2, "squareLength": 2, "v": "aa"},
+            },
+            "findings": {},
+        }
 
 
 class TestConstructionReports:
