@@ -1,11 +1,13 @@
 """JIT-compiled inner loops for power detection, theorem checking, and search.
 
 Every @compile_kernel function is plain Python over numpy arrays, compiled
-with numba when it is importable and the PWPOWERS_NO_NUMBA environment
-variable is unset. Without numba the same functions run interpreted:
-identical results, much slower. Symbol encoding throughout: 0 is the hole,
-1..k are letters. Positions inside kernels are 0-indexed; the public
-wrappers shift to the 1-indexed convention.
+by one rule (numba njit, cached) when numba is importable and the
+PWPOWERS_NO_NUMBA environment variable is unset. Without numba the same
+functions run interpreted: identical results, much slower. No kernel has to
+release the interpreter lock, as `search --jobs` runs partitions in worker
+processes. Symbol encoding throughout: 0 is the hole, 1..k are letters.
+Positions inside kernels are 0-indexed; the public wrappers shift to the
+1-indexed convention.
 
 Both occurrence scans, `occurrence_scan` and the per-append scan inside
 `search_kernel`, use one rule. A break pair for root length p is two
@@ -42,17 +44,7 @@ if NUMBA_ENABLED:
     except ImportError:
         NUMBA_ENABLED = False
 
-if NUMBA_ENABLED:
-    def compile_kernel(func=None, **options):
-        options.setdefault("cache", True)
-        if func is None:
-            return lambda f: numba.njit(**options)(f)
-        return numba.njit(**options)(func)
-else:
-    def compile_kernel(func=None, **options):
-        if func is None:
-            return lambda f: f
-        return func
+compile_kernel = numba.njit(cache=True) if NUMBA_ENABLED else (lambda func: func)
 
 
 def occurrence_capacity(n: int, r: int) -> int:
@@ -441,7 +433,7 @@ def _unmark(marked_at, m, r):
         i -= r
 
 
-@compile_kernel(nogil=True)
+@compile_kernel
 def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens, frontier):
     """Depth-first search over canonical extensions of `prefix`.
 

@@ -102,7 +102,7 @@ def _add_common(
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     if jobs:
         parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                            help="worker threads (results are identical for any value)")
+                            help="worker processes (results are identical for any value)")
     if budget is not None:
         parser.add_argument("--budget", type=int, default=budget, metavar="B",
                             help="enumeration budget override (words checked / nodes explored)")

@@ -48,4 +48,4 @@ class BadExponentError(PartialWordError, ValueError):
 
 
 class ResourceLimitError(PartialWordError, RuntimeError):
-    """An enumeration exceeded its check budget before reaching a verdict."""
+    """An enumeration ran out of its check budget or lost a worker process."""

@@ -11,20 +11,21 @@ prunings.
 Every node is scored by one engine, `_kernels.search_kernel`. A first call
 searches from the empty word down to a fixed prefix depth and lists the
 qualifying nodes of that depth; the subtrees below them are the partitions,
-one kernel call each. Per-partition node budgets are fixed up front, so
-results are byte-identical for any choice of --jobs: the thread pool only
-changes who executes which subtree, never what is explored.
+one kernel call each, run in worker processes under --jobs. Per-partition
+node budgets are fixed up front and results are collected in partition
+order, so output is byte-identical for any choice of --jobs: the workers
+only change who executes which subtree, never what is explored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
+from .errors import ResourceLimitError
 from .words import Alphabet, PartialWord, format_word
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -122,6 +123,18 @@ def _survey_prefixes(q: SearchQuery, depth: int, budget: int):
     return result, wit_buf, wit_lens, partitions
 
 
+def _run_partition(task):
+    """Search below one partition prefix; task is the plain tuple (prefix,
+    max_len, k, r, t, quota, witness_cap). Returns (result, wit_buf, wit_lens)."""
+    prefix, n, k, r, t, quota, wcap = task
+    # a witness is no deeper than the deepest node the quota reaches
+    wit_buf = np.zeros((wcap, min(n, len(prefix) + quota + 1)), np.int8)
+    wit_lens = np.zeros(wcap, np.int32)
+    res = _kernels.search_kernel(np.array(prefix, np.int8), n, k, r, t, quota, wcap,
+                                 wit_buf, wit_lens, np.zeros((0, n), np.int8))
+    return res[:6], wit_buf, wit_lens
+
+
 def search_max_powers(
     query: SearchQuery,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -138,12 +151,7 @@ def search_max_powers(
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    k, r, t, n = (
-        query.alphabet_size,
-        query.exponent,
-        query.max_start_positions,
-        query.max_len,
-    )
+    k, r, t, n = query.alphabet_size, query.exponent, query.max_start_positions, query.max_len
     wcap = query.witness_cap
     depth = min(n, _PARTITION_DEPTH)
 
@@ -153,27 +161,23 @@ def search_max_powers(
     if survey[0] == 0 and partitions:
         remaining = budget - survey[1]
         count = len(partitions)
-        quotas = [
-            remaining // count + (1 if i < remaining % count else 0)
-            for i in range(count)
+        # the first remaining % count partitions get one node more
+        tasks = [
+            (prefix, n, k, r, t, remaining // count + (i < remaining % count), wcap)
+            for i, prefix in enumerate(partitions)
         ]
-        no_frontier = np.zeros((0, n), np.int8)
-
-        def run(idx: int):
-            prefix = np.array(partitions[idx], np.int8)
-            # a witness is no deeper than the deepest node the quota reaches
-            wit_buf = np.zeros((wcap, min(n, len(prefix) + quotas[idx] + 1)), np.int8)
-            wit_lens = np.zeros(wcap, np.int32)
-            res = _kernels.search_kernel(
-                prefix, n, k, r, t, quotas[idx], wcap, wit_buf, wit_lens, no_frontier
-            )
-            return res[:6], wit_buf, wit_lens
-
         if jobs == 1 or count == 1:
-            results += [run(i) for i in range(count)]
+            results += map(_run_partition, tasks)
         else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results += pool.map(run, range(count))
+            # imported here so that no other command pays for loading them
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+            try:
+                # a fork-context pool starts all its workers at once
+                with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+                    results += pool.map(_run_partition, tasks)
+            except BrokenExecutor as exc:
+                raise ResourceLimitError(f"a search worker process died: {exc}") from exc
 
     # the empty word scores 0 and is no kernel's node
     best = max(0, *(int(res[4]) for res, _, _ in results))

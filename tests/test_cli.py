@@ -4,6 +4,7 @@ writer against the stdlib encoder."""
 
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pwpowers import cli
+from pwpowers import _kernels, cli
 from pwpowers.cli import _json_text
 
 PKG = [sys.executable, "-m", "pwpowers"]
@@ -253,13 +254,15 @@ class TestSearch:
         # kernel state and witness rows must grow with the depth a budget
         # can reach, not with max-len: a dense per-length table for 100000
         # symbols, or a witness row of 10^12, does not fit in memory
-        for max_len, budget, nodes, pruned_start, exhaustive in (
-            ("100000", "50", 50, 31, False),
+        for max_len, budget, nodes, pruned_start, exhaustive, jobs in (
+            ("100000", "50", 50, 31, False, "1"),
+            ("100000", "50", 50, 31, False, "2"),
             # the r=2, k=2, t=1 search tree is finite: 58 nodes in all
-            ("1000000000000", "100", 58, 38, True),
+            ("1000000000000", "100", 58, 38, True, "1"),
+            ("1000000000000", "100", 58, 38, True, "2"),
         ):
             res = run_cli("search", "--r", "2", "--k", "2", "--max-len", max_len,
-                          "--budget", budget, "--json")
+                          "--budget", budget, "--json", "--jobs", jobs)
             assert res.returncode == 0, res.stderr
             assert json.loads(res.stdout) == {
                 "bestCount": 2,
@@ -277,6 +280,26 @@ class TestSearch:
                           "--json", "--jobs", jobs)
             assert res.stdout == base.stdout
         assert json.loads(base.stdout)["bestCount"] == 3
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched kernel reaches the workers only by fork")
+    def test_dead_worker_is_one_error_line(self, monkeypatch, capsys):
+        # a worker the OS kills (say, for memory) breaks the pool; the survey
+        # runs in this process, every partition in a worker
+        kernel, parent = _kernels.search_kernel, os.getpid()
+
+        def dying_kernel(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "search_kernel", dying_kernel)
+        code = cli.main(["search", "--r", "3", "--k", "2", "--max-len", "9",
+                         "--json", "--jobs", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("pwpowers: a search worker process died: ")
+        assert err.count("\n") == 1
 
     def test_table_text(self):
         res = run_cli("search", "table", "--r-min", "2", "--r-max", "3",
@@ -338,6 +361,18 @@ def test_out_of_memory_is_a_clean_exit(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "pwpowers: out of memory: Unable to allocate 53.6 GiB for an array\n"
+
+
+def test_cli_import_loads_no_pool():
+    # only `search --jobs J` with J > 1 needs a pool; loading one costs every
+    # command's start-up
+    code = ("import sys, pwpowers.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('concurrent', 'multiprocessing'))))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 json_strings = st.text(

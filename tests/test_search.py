@@ -159,22 +159,53 @@ class TestDeterminismAndBudget:
     ])
     def test_budget_stops_inside_the_survey(self, budget, expected):
         # the prefix survey of r=2, k=2 holds 37 nodes, the empty word
-        # included; these budgets stop inside it, at its end and just past it
+        # included; these budgets stop inside it, at its end and just past
+        # it, where the worker processes of jobs=2 run the partitions
         best, witnesses, nodes, pruned_sym, pruned_start = expected
-        res = search_max_powers(_query(2, 2, 8), budget=budget)
-        assert res.to_json_dict() == {
-            "bestCount": best,
-            "witnesses": witnesses,
-            "nodesExplored": nodes,
-            "prunedBySymmetry": pruned_sym,
-            "prunedByStartBound": pruned_start,
-            "exhaustive": False,
-        }
+        for jobs in (1, 2) if budget == 38 else (1,):
+            res = search_max_powers(_query(2, 2, 8), budget=budget, jobs=jobs)
+            assert res.to_json_dict() == {
+                "bestCount": best,
+                "witnesses": witnesses,
+                "nodesExplored": nodes,
+                "prunedBySymmetry": pruned_sym,
+                "prunedByStartBound": pruned_start,
+                "exhaustive": False,
+            }
 
     def test_budget_determinism_across_jobs(self):
-        a = search_max_powers(_query(2, 2, 10), budget=300, jobs=1)
-        b = search_max_powers(_query(2, 2, 10), budget=300, jobs=8)
-        assert a == b
+        # t=2 stops on the budget inside the partitions
+        for t in (1, 2):
+            a = search_max_powers(_query(2, 2, 10, t=t), budget=300, jobs=1)
+            b = search_max_powers(_query(2, 2, 10, t=t), budget=300, jobs=8)
+            assert a == b
+        assert not b.exhaustive
+
+    def test_pool_is_capped_at_the_partitions(self, monkeypatch):
+        # a fork pool starts every worker at once, so a huge --jobs must not
+        # reach it; the fake pool starts no process
+        import concurrent.futures
+
+        sizes = []
+
+        class SequentialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
+        query = _query(3, 2, 9)
+        partitions = _survey_prefixes(query, 4, 10**9)[3]
+        assert search_max_powers(query, jobs=10**6) == search_max_powers(query, jobs=1)
+        assert sizes == [len(partitions)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
