@@ -15,22 +15,20 @@ consecutive defined symbols of one residue class mod p that disagree, and a
 window of length r*p is an r-th power iff it contains no break pair. The
 scan sweeps starts right to left, keeping for each p the nearest break pair
 to the right; the search keeps, per depth, the rightmost one to the left.
-Either way the cost per window is O(1) plus a walk over holes, where the
-residue-class predicate `is_power_at` (kept for the theorem-sq tree walk)
-costs O(window length). Both kernels copy their input into plain int lists
-built inside the function: interpreted, list indexing is several times
-cheaper than reading numpy int8 scalars, and numba compiles such lists too.
-The independent check of both, by explicit root construction, lives in
-tests/helpers.py.
+Either way the cost per window is O(1) plus a walk over holes. Both kernels
+copy their input into plain int lists built inside the function:
+interpreted, list indexing is several times cheaper than reading numpy int8
+scalars, and numba compiles such lists too. The independent check of both,
+by explicit root construction, lives in tests/helpers.py.
 
 The fine-wilf and corollary-full kernels enumerate words length first, then
 lexicographic by symbol code (hole < a < b < ...), via a plain odometer on
 the code array. The theorem-sq and lemma-h1 kernels report in that same
-order but walk only the start-bounded tree, uncompiled, and count the rest
-of the space in closed form (see their section). Canonical representatives
-are words whose letters first appear in alphabetical order; predicates
-checked here are invariant under letter renaming, so skipping non-canonical
-words loses nothing.
+order but walk only the start-bounded tree, uncompiled, scoring each append
+with the search's `_append`, and count the rest of the space in closed form
+(see their section). Canonical representatives are words whose letters
+first appear in alphabetical order; predicates checked here are invariant
+under letter renaming, so skipping non-canonical words loses nothing.
 """
 
 import os
@@ -50,25 +48,6 @@ compile_kernel = numba.njit(cache=True) if NUMBA_ENABLED else (lambda func: func
 def occurrence_capacity(n: int, r: int) -> int:
     """Upper bound on the number of r-th power occurrences in a length-n word."""
     return (n // r) * n + 1
-
-
-@compile_kernel
-def is_power_at(word, start, length, r):
-    # window [start, start+length) contained in x^r for some full x of
-    # length p = length // r  <=>  in each residue class mod p the defined
-    # symbols all agree; `last` tracks the class's previous defined symbol
-    p = length // r
-    for c in range(p):
-        last = 0
-        idx = start + c
-        while idx < start + length:
-            s = word[idx]
-            if s != 0:
-                if last != 0 and s != last:
-                    return False
-                last = s
-            idx += p
-    return True
 
 
 @compile_kernel
@@ -232,7 +211,8 @@ def corollary_full_kernel(r, k, max_len, budget, cex):
 # Both claims constrain only words whose squares all start at one position.
 # Appending a symbol never removes an occurrence, so that premise is closed
 # under prefixes, and every premise word lies in the tree of canonical words
-# with at most one square start. Only that tree is walked. The counts of the
+# with at most one square start. Only that tree is walked, by the r=2, t=1
+# step of the search below (`_append`, `_unmark`). The counts of the
 # odometer order (every word of length 1..max_len over holes and k letters,
 # length first, then lexicographic) are computed in closed form instead, so
 # the return convention above holds unchanged: `enumerated` is the odometer
@@ -243,22 +223,37 @@ def corollary_full_kernel(r, k, max_len, budget, cex):
 
 def _start_bounded_words(k, max_len):
     # (codes, squares) for every canonical word of length 1..max_len that
-    # has squares, all starting at one position, in length-then-lex order;
-    # each append tests only the windows that end at the new symbol
-    level = [((), 0, -1, 0)]  # codes, largest letter, square start, squares
-    for m in range(1, max_len + 1):
-        children = []
-        for codes, mu, start, squares in level:
-            for s in range(min(mu + 1, k) + 1):
-                child = codes + (s,)
-                word = np.array(child, np.int8)
-                new = [i for i in range(m - 2, -1, -2) if is_power_at(word, i, m - i, 2)]
-                first = start if start >= 0 else (new[0] if new else -1)
-                if all(i == first for i in new):
-                    children.append((child, max(mu, s), first, squares + len(new)))
-                    if first >= 0:
-                        yield child, squares + len(new)
-        level = children
+    # has squares, all starting at one position, in length-then-lex order.
+    # Pass n walks the tree depth first down to length n, scoring each
+    # append with _append, so it meets the words of length n in lex order.
+    # The tree is closed under prefixes: a pass that reaches no word of its
+    # length ends the walk.
+    for n in range(1, max_len + 1):
+        w, marked_at, bar, base = [0] * n, [0] * n, [-1], [0]
+        # per depth m: largest letter, squares and square starts of w[:m],
+        # and the next symbol to append to it
+        mu, squares, starts, trial = ([0] * (n + 1) for _ in range(4))
+        reached = False
+        m = 0  # depth of the current node w[:m]
+        while m >= 0:
+            s = trial[m]
+            if m < n and starts[m] < 2 and s <= min(mu[m] + 1, k):
+                trial[m] = s + 1
+                w[m] = s
+                added, new = _append(w, m + 1, 2, n // 2, bar, base, marked_at)
+                m += 1
+                mu[m], trial[m] = max(mu[m - 1], s), 0
+                squares[m], starts[m] = squares[m - 1] + added, starts[m - 1] + new
+                if m == n and starts[m] < 2:
+                    reached = True
+                    if starts[m]:
+                        yield tuple(w), squares[m]
+            else:
+                if m and starts[m] != starts[m - 1]:
+                    _unmark(marked_at, m, 2)
+                m -= 1
+        if not reached:
+            return
 
 
 def _position(codes, k):

@@ -1,18 +1,21 @@
 """Brute-force verification of the package's structural claims on bounded
 word spaces.
 
-Each verifier enumerates every word up to a stated length (restricted to
+Each verifier covers every word up to a stated length (restricted to
 canonical representatives where the claim is invariant under letter
-renaming, which all of these are), checks the claim instance by instance,
-and returns a VerificationReport. A failing report always carries a concrete
-counterexample that can be re-checked through the public API. Enumerations
-are capped by a check budget; exceeding it raises ResourceLimitError rather
-than returning a verdict.
+renaming, which all of these are) and returns a VerificationReport.
+theorem-sq and lemma-h1 walk only the words whose squares start at one
+position at most, which their claims constrain, and count the rest. A
+failing report always carries a concrete counterexample that can be
+re-checked through the public API. Enumerations are capped by a check
+budget; exceeding it raises ResourceLimitError rather than returning a
+verdict.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -126,8 +129,8 @@ def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -
     counterexample = None
     if status == 1:
         word = PartialWord(cex_buf[:cex_len], Alphabet(k))
-        g = int(np.gcd(p, q))
-        counterexample = Counterexample(word, {"p": int(p), "q": int(q), "gcd": g})
+        p, q = int(p), int(q)
+        counterexample = Counterexample(word, {"p": p, "q": q, "gcd": math.gcd(p, q)})
     return _report("fine-wilf", {"k": k, "maxLen": max_len}, checked, counterexample,
                    {"wordsEnumerated": int(enumerated)}, t0)
 

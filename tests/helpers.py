@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from pwpowers import Alphabet, PartialWord, format_word, power_occurrences, parse_word
-from pwpowers._kernels import NUMBA_ENABLED, compile_kernel, is_power_at
+from pwpowers._kernels import compile_kernel
 
 
 def word(text: str, k: int | None = None) -> PartialWord:
@@ -369,58 +369,11 @@ def check_canonicalize_laws(max_len: int, max_k: int, r: int = 2) -> int:
 
 
 @compile_kernel
-def literal_power_mismatches(k, max_len, r):
-    # for every word up to max_len, compare the residue-class power test
-    # against a literal odometer over all k^p candidate roots
-    mismatches = 0
-    for n in range(r, max_len + 1, r):
-        p = n // r
-        w = np.zeros(n, np.int8)
-        x = np.zeros(p, np.int8)
-        while True:
-            fast = is_power_at(w, 0, n, r)
-            for i in range(p):
-                x[i] = 1
-            found = False
-            while True:
-                ok = True
-                for i in range(n):
-                    s = w[i]
-                    if s != 0 and s != x[i % p]:
-                        ok = False
-                        break
-                if ok:
-                    found = True
-                    break
-                j = p - 1
-                while j >= 0:
-                    if x[j] < k:
-                        x[j] += 1
-                        break
-                    x[j] = 1
-                    j -= 1
-                if j < 0:
-                    break
-            if fast != found:
-                mismatches += 1
-            j = n - 1
-            while j >= 0:
-                if w[j] < k:
-                    w[j] += 1
-                    break
-                w[j] = 0
-                j -= 1
-            if j < 0:
-                break
-    return mismatches
-
-
-@compile_kernel
 def root_exists(w, start, length, k, r):
     # build an explicit full root x of length p by backtracking, letter by
     # letter; x[j] must match every defined symbol at start+j, start+j+p, ...
-    # of the int list w. Never consults the residue-class predicate
-    # is_power_at.
+    # of the int list w. Never consults a residue-class or break-pair
+    # predicate.
     p = length // r
     x = [0] * p
     j = 0

@@ -16,12 +16,10 @@ from pwpowers import (
     start_positions,
     unique_start_position,
 )
-from pwpowers._kernels import NUMBA_ENABLED
 from helpers import (
     all_code_tuples,
     brute_is_power,
     brute_occurrences,
-    literal_power_mismatches,
     occ_pairs,
     to_word,
     word,
@@ -48,9 +46,10 @@ class TestIsPower:
 
     def test_matches_literal_root_search_exhaustively(self):
         # identical verdicts when every candidate root is tried literally
-        max_len = 12 if NUMBA_ENABLED else 9
-        for r in (2, 3):
-            assert literal_power_mismatches(2, max_len, r) == 0
+        for codes in all_code_tuples(9, 2):
+            w = to_word(codes, 2)
+            for r in (2, 3):
+                assert is_power(w, r) == brute_is_power(codes, 2, r), (codes, r)
 
 
 class TestEnumerateRoots:

@@ -3,7 +3,13 @@ budgets, determinism."""
 
 import pytest
 
-from helpers import expected_verify_report, odometer_reference
+from helpers import (
+    all_code_tuples,
+    brute_occurrences,
+    expected_verify_report,
+    is_canonical_codes,
+    odometer_reference,
+)
 from pwpowers import (
     ResourceLimitError,
     _kernels,
@@ -184,6 +190,40 @@ class TestOdometerReferenceGrid:
                 assert _report_or_error(
                     verify_lemma_h1, k, n, budget=budget
                 ) == expected_verify_report(k, n, budget), case
+
+
+class TestStartBoundedWalk:
+    """The tree walk behind theorem-sq and lemma-h1, word by word."""
+
+    @pytest.mark.parametrize("k, max_len", [(1, 10), (2, 8), (3, 7), (4, 5)])
+    def test_yields_every_premise_word(self, k, max_len):
+        # every canonical word whose squares all start at one position,
+        # with its square count, in length-then-lex order
+        expected = []
+        for codes in all_code_tuples(max_len, k):
+            if is_canonical_codes(codes):
+                squares = brute_occurrences(codes, k, 2)
+                if len({start for start, _ in squares}) == 1:
+                    expected.append((codes, len(squares)))
+        assert list(_kernels._start_bounded_words(k, max_len)) == expected
+
+    def test_walk_stops_where_the_tree_ends(self, monkeypatch):
+        # binary premise words are finitely many, so past the tree's depth a
+        # larger max_len must not cost a single append more
+        append = _kernels._append
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return append(*args)
+
+        monkeypatch.setattr(_kernels, "_append", counting)
+        counts = []
+        for n in (100, 200):
+            calls[0] = 0
+            assert _kernels.theorem_sq_kernel(2, n, 2, 3 ** (n + 1))[0] == 0
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
 
 
 def _doc(report):
