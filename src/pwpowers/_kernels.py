@@ -21,14 +21,15 @@ interpreted, list indexing is several times cheaper than reading numpy int8
 scalars, and numba compiles such lists too. The independent check of both,
 by explicit root construction, lives in tests/helpers.py.
 
-The fine-wilf and corollary-full kernels enumerate words length first, then
-lexicographic by symbol code (hole < a < b < ...), via a plain odometer on
-the code array. The theorem-sq and lemma-h1 kernels report in that same
-order but walk only the start-bounded tree, uncompiled, scoring each append
-with the search's `_append`, and count the rest of the space in closed form
-(see their section). Canonical representatives are words whose letters
-first appear in alphabetical order; predicates checked here are invariant
-under letter renaming, so skipping non-canonical words loses nothing.
+The fine-wilf kernel enumerates full words length first, then lexicographic
+by symbol code (a < b < ...), via a plain odometer on the code array. The
+theorem-sq, lemma-h1 and corollary-full kernels report in that same order
+(hole < a < b < ... for partial words) but walk only the start-bounded
+tree, uncompiled, scoring each append with the search's `_append`, and
+count the rest of the space in closed form (see their section). Canonical
+representatives are words whose letters first appear in alphabetical
+order; predicates checked here are invariant under letter renaming, so
+skipping non-canonical words loses nothing.
 """
 
 import os
@@ -95,9 +96,9 @@ def occurrence_scan(word, r, out):
 # claim holds on the whole space, 1 = counterexample found, 2 = budget
 # exhausted. `checked` counts canonical words actually tested, `enumerated`
 # counts every word the odometer produced (canonical or not); the budget
-# caps `enumerated`. The compiled odometer kernels copy a counterexample into
-# the caller's `cex` buffer and return its length; the start-bounded kernels
-# return it as a code tuple.
+# caps `enumerated`. The compiled fine-wilf odometer copies a counterexample
+# into the caller's `cex` buffer and returns its length; the start-bounded
+# kernels return it as a code tuple.
 # ---------------------------------------------------------------------------
 
 
@@ -179,60 +180,41 @@ def fine_wilf_kernel(k, max_len, budget, cex):
     return 0, checked, enumerated, 0, 0, 0
 
 
-@compile_kernel
-def corollary_full_kernel(r, k, max_len, budget, cex):
-    # full words: whenever some position starts two or more r-th power
-    # occurrences, a strictly later position must start one as well.
-    # Occurrences are sorted by start, so only the last start can violate,
-    # and it does when the last two rows share it.
-    checked = 0
-    enumerated = 0
-    for n in range(1, max_len + 1):
-        w = np.ones(n, np.int8)
-        out = np.empty(((n // r) * n + 1, 2), np.int32)
-        while True:
-            enumerated += 1
-            if enumerated > budget:
-                return 2, checked, enumerated, 0
-            if _is_canonical_codes(w):
-                checked += 1
-                cnt = occurrence_scan(w, r, out)
-                if cnt >= 2 and out[cnt - 2, 0] == out[cnt - 1, 0]:
-                    cex[:n] = w
-                    return 1, checked, enumerated, n
-            if not _next_full_word(w, k):
-                break
-    return 0, checked, enumerated, 0
-
-
 # ---------------------------------------------------------------------------
-# start-bounded verifiers (theorem-sq, lemma-h1)
+# start-bounded verifiers (theorem-sq, lemma-h1, corollary-full)
 #
-# Both claims constrain only words whose squares all start at one position.
+# Each claim constrains only words whose r-th powers all start at one
+# position. theorem-sq and lemma-h1 say so of squares in partial words.
+# corollary-full says a full word's last power start never carries two
+# occurrences: the suffix of a counterexample from its last start is one
+# too, so a shortest counterexample has all its powers at position 1, and
+# the first one in odometer order is the first such word with two of them.
 # Appending a symbol never removes an occurrence, so that premise is closed
 # under prefixes, and every premise word lies in the tree of canonical words
-# with at most one square start. Only that tree is walked, by the r=2, t=1
-# step of the search below (`_append`, `_unmark`). The counts of the
-# odometer order (every word of length 1..max_len over holes and k letters,
-# length first, then lexicographic) are computed in closed form instead, so
-# the return convention above holds unchanged: `enumerated` is the odometer
-# position of the counterexample, `checked` its rank among canonical words,
-# and the budget stops the run exactly where the odometer would have.
+# with at most one start. Only that tree is walked, by the t=1 step of the
+# search below (`_append`, `_unmark`). The counts of the odometer order
+# (every word of length 1..max_len over the symbols lo..k, length first,
+# then lexicographic; lo is 0 for partial words, whose hole is symbol 0, and
+# 1 for full words) are computed in closed form instead, so the return
+# convention above holds unchanged: `enumerated` is the odometer position of
+# the counterexample, `checked` its rank among canonical words, and the
+# budget stops the run exactly where the odometer would have.
 # ---------------------------------------------------------------------------
 
 
-def _start_bounded_words(k, max_len):
-    # (codes, squares) for every canonical word of length 1..max_len that
-    # has squares, all starting at one position, in length-then-lex order.
-    # Pass n walks the tree depth first down to length n, scoring each
-    # append with _append, so it meets the words of length n in lex order.
-    # The tree is closed under prefixes: a pass that reaches no word of its
-    # length ends the walk.
+def _start_bounded_words(r, k, lo, max_len):
+    # (codes, powers) for every canonical word of length 1..max_len over the
+    # symbols lo..k that has r-th powers, all starting at one position, in
+    # length-then-lex order. Pass n walks the tree depth first down to
+    # length n, scoring each append with _append, so it meets the words of
+    # length n in lex order. The tree is closed under prefixes: a pass that
+    # reaches no word of its length ends the walk.
     for n in range(1, max_len + 1):
         w, marked_at, bar, base = [0] * n, [0] * n, [-1], [0]
-        # per depth m: largest letter, squares and square starts of w[:m],
+        # per depth m: largest letter, powers and power starts of w[:m],
         # and the next symbol to append to it
-        mu, squares, starts, trial = ([0] * (n + 1) for _ in range(4))
+        mu, powers, starts, trial = ([0] * (n + 1) for _ in range(4))
+        trial[0] = lo
         reached = False
         m = 0  # depth of the current node w[:m]
         while m >= 0:
@@ -240,95 +222,105 @@ def _start_bounded_words(k, max_len):
             if m < n and starts[m] < 2 and s <= min(mu[m] + 1, k):
                 trial[m] = s + 1
                 w[m] = s
-                added, new = _append(w, m + 1, 2, n // 2, bar, base, marked_at)
+                added, new = _append(w, m + 1, r, n // r, bar, base, marked_at)
                 m += 1
-                mu[m], trial[m] = max(mu[m - 1], s), 0
-                squares[m], starts[m] = squares[m - 1] + added, starts[m - 1] + new
+                mu[m], trial[m] = max(mu[m - 1], s), lo
+                powers[m], starts[m] = powers[m - 1] + added, starts[m - 1] + new
                 if m == n and starts[m] < 2:
                     reached = True
                     if starts[m]:
-                        yield tuple(w), squares[m]
+                        yield tuple(w), powers[m]
             else:
                 if m and starts[m] != starts[m - 1]:
-                    _unmark(marked_at, m, 2)
+                    _unmark(marked_at, m, r)
                 m -= 1
         if not reached:
             return
 
 
-def _position(codes, k):
-    # 1-based odometer position of `codes`: the word read as a bijective
-    # base-(k+1) numeral with digits c+1, which puts shorter words first
+def _position(codes, k, lo):
+    # 1-based odometer position of `codes` over the symbols lo..k: the word
+    # read as a bijective base-(k+1-lo) numeral with digits c+1-lo, which
+    # puts shorter words first
     position = 0
     for c in codes:
-        position = position * (k + 1) + c + 1
+        position = position * (k + 1 - lo) + c + 1 - lo
     return position
 
 
-def _codes_at(position, k):
+def _codes_at(position, k, lo):
     # inverse of _position
     codes = []
     while position > 0:
-        position, c = divmod(position - 1, k + 1)
-        codes.append(c)
+        position, c = divmod(position - 1, k + 1 - lo)
+        codes.append(c + lo)
     return tuple(reversed(codes))
 
 
-def _canonical_table(k, max_len):
-    # f[j][mu]: canonical continuations by j symbols of a prefix whose
-    # largest letter is mu; holes and letters 1..mu keep mu, letter mu+1
-    # raises it
+def _canonical_table(k, max_len, lo):
+    # f[j][mu]: canonical continuations by j symbols from lo..k of a prefix
+    # whose largest letter is mu; holes (when lo is 0) and letters 1..mu
+    # keep mu, letter mu+1 raises it
     f = [[1] * (k + 1)]
     for _ in range(max_len):
         g = f[-1]
-        f.append([(mu + 1) * g[mu] + (g[mu + 1] if mu < k else 0) for mu in range(k + 1)])
+        f.append([(mu + 1 - lo) * g[mu] + (g[mu + 1] if mu < k else 0) for mu in range(k + 1)])
     return f
 
 
-def _canonical_rank(codes, f):
+def _canonical_rank(codes, f, lo):
     # canonical words up to `codes` in length-then-lex order, `codes`
     # itself included when it is canonical
     m = len(codes)
     rank = sum(f[j][0] for j in range(1, m))
     mu = 0
     for i, c in enumerate(codes):
-        rank += sum(f[m - i - 1][max(mu, s)] for s in range(min(c, mu + 2)))
+        rank += sum(f[m - i - 1][max(mu, s)] for s in range(lo, min(c, mu + 2)))
         if c > mu + 1:
             return rank
         mu = max(mu, c)
     return rank + 1
 
 
-def _decide_start_bounded(k, max_len, budget, violates):
-    # shared body of the two kernels below; returns (status, checked,
+def _decide_start_bounded(r, k, lo, max_len, budget, violates):
+    # shared body of the three kernels below; returns (status, checked,
     # enumerated, counterexample codes or None, best, witness codes or None),
-    # best being the largest square count of a premise word before the stop.
+    # best being the largest power count of a premise word before the stop.
     # A run stops at the first premise word past the budget, so the walk
-    # never goes beyond the longest length whose first word (all holes) the
-    # budget reaches.
-    walk_len = _budget_reach(k + 1, max_len, budget)
-    f = _canonical_table(k, walk_len)
+    # never goes beyond the longest length whose first word the budget
+    # reaches.
+    # last: the odometer position of the last word of length walk_len;
+    # rank_at(p): the canonical words among the first p words
+    symbols = k + 1 - lo
+    if symbols == 1:
+        # unary full words: one word per length, and it is canonical, so a
+        # position is its own length and rank, and nothing is sized by it
+        walk_len = min(max_len, max(budget, 0))
+        last, rank_at = walk_len, lambda position: position
+    else:
+        walk_len = _budget_reach(symbols, max_len, budget)
+        f = _canonical_table(k, walk_len, lo)
+        last = _position((k,) * walk_len, k, lo)
+        rank_at = lambda position: _canonical_rank(_codes_at(position, k, lo), f, lo)
     best, witness = 0, None
-    for codes, squares in _start_bounded_words(k, walk_len):
-        position = _position(codes, k)
+    for codes, powers in _start_bounded_words(r, k, lo, walk_len):
+        position = _position(codes, k, lo)
         if position > budget:
             break
-        if violates(codes, squares):
-            return 1, _canonical_rank(codes, f), position, codes, best, witness
-        if squares > best:
-            best, witness = squares, codes
-    last = (k,) * walk_len
-    if walk_len == max_len and _position(last, k) <= budget:
-        return 0, _canonical_rank(last, f), _position(last, k), None, best, witness
-    checked = _canonical_rank(_codes_at(budget, k), f) if budget >= 1 else 0
-    return 2, checked, max(budget + 1, 1), None, best, witness
+        if violates(codes, powers):
+            return 1, rank_at(position), position, codes, best, witness
+        if powers > best:
+            best, witness = powers, codes
+    if walk_len == max_len and last <= budget:
+        return 0, rank_at(last), last, None, best, witness
+    return 2, rank_at(budget) if budget >= 1 else 0, max(budget + 1, 1), None, best, witness
 
 
 def lemma_h1_kernel(k, max_len, budget):
     # words with two or more squares all starting at the same position must
     # have exactly one hole, located at position 1
     return _decide_start_bounded(
-        k, max_len, budget,
+        2, k, 0, max_len, budget,
         lambda codes, squares: squares > 1 and (codes[0] != 0 or codes.count(0) != 1),
     )
 
@@ -337,8 +329,14 @@ def theorem_sq_kernel(k, max_len, bound, budget):
     # words whose squares all start at one position carry at most `bound`
     # of them
     return _decide_start_bounded(
-        k, max_len, budget, lambda codes, squares: squares > bound
+        2, k, 0, max_len, budget, lambda codes, squares: squares > bound
     )
+
+
+def corollary_full_kernel(r, k, max_len, budget):
+    # full words: a position starting two or more r-th power occurrences is
+    # never the last start, so no word has two occurrences at a unique start
+    return _decide_start_bounded(r, k, 1, max_len, budget, lambda codes, powers: powers > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ResourceLimitError
+from .powers import _validate_exponent
 from .words import Alphabet, PartialWord, format_word
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -66,10 +67,8 @@ class SearchQuery:
     witness_cap: int = 16
 
     def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 2:
-            raise ValueError(f"exponent must be an integer >= 2, got {self.exponent!r}")
-        if not isinstance(self.alphabet_size, int) or not 1 <= self.alphabet_size <= 26:
-            raise ValueError(f"alphabet size must be in 1..26, got {self.alphabet_size!r}")
+        _validate_exponent(self.exponent)
+        Alphabet(self.alphabet_size)
         if not isinstance(self.max_len, int) or self.max_len < 1:
             raise ValueError(f"max_len must be a positive integer, got {self.max_len!r}")
         if not isinstance(self.max_start_positions, int) or self.max_start_positions < 1:
@@ -112,7 +111,7 @@ def _survey_prefixes(q: SearchQuery, depth: int, budget: int):
     k, wcap = q.alphabet_size, q.witness_cap
     wit_buf = np.zeros((wcap, depth), np.int8)
     wit_lens = np.zeros(wcap, np.int32)
-    frontier = np.zeros((_kernels._canonical_table(k, depth)[depth][0], depth), np.int8)
+    frontier = np.zeros((_kernels._canonical_table(k, depth, 0)[depth][0], depth), np.int8)
     # the empty word is the survey's first node, so the kernel gets one less
     status, nodes, pruned_sym, pruned_start, best, n_wit, n_front = _kernels.search_kernel(
         np.zeros(0, np.int8), depth, k, q.exponent, q.max_start_positions,

@@ -4,8 +4,9 @@ word spaces.
 Each verifier covers every word up to a stated length (restricted to
 canonical representatives where the claim is invariant under letter
 renaming, which all of these are) and returns a VerificationReport.
-theorem-sq and lemma-h1 walk only the words whose squares start at one
-position at most, which their claims constrain, and count the rest. A
+theorem-sq, lemma-h1 and corollary-full walk only the words whose powers
+start at one position at most, which their claims constrain (for
+corollary-full: its first counterexample, if any), and count the rest. A
 failing report always carries a concrete counterexample that can be
 re-checked through the public API. Enumerations are capped by a check
 budget; exceeding it raises ResourceLimitError rather than returning a
@@ -25,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .constructions import cube_examples, prop2_word, prop3_word, square_chain
 from .errors import ResourceLimitError
-from .powers import power_occurrences, power_profile
+from .powers import _validate_exponent, power_occurrences, power_profile
 from .words import Alphabet, PartialWord, format_word
 
 DEFAULT_CHECK_BUDGET = 10**8
@@ -80,11 +81,6 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _require_alphabet(k) -> None:
-    if not isinstance(k, int) or not 1 <= k <= 26:
-        raise ValueError(f"alphabet size must be in 1..26, got {k!r}")
-
-
 def _budget_error(claim: str, enumerated: int, budget: int) -> ResourceLimitError:
     return ResourceLimitError(
         f"{claim}: enumeration exceeded the check budget "
@@ -115,7 +111,7 @@ def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -
     """Every full word of length up to max_len over k letters that has
     strong periods p and q with |w| >= p + q - gcd(p, q) also has strong
     period gcd(p, q)."""
-    _require_alphabet(k)
+    alphabet = Alphabet(k)
     _require_positive("max_len", max_len)
     if max_len > _MAX_FINE_WILF_LEN:
         raise ValueError(f"max_len above {_MAX_FINE_WILF_LEN} is not supported")
@@ -128,7 +124,7 @@ def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -
         raise _budget_error("fine-wilf", enumerated, budget)
     counterexample = None
     if status == 1:
-        word = PartialWord(cex_buf[:cex_len], Alphabet(k))
+        word = PartialWord(cex_buf[:cex_len], alphabet)
         p, q = int(p), int(q)
         counterexample = Counterexample(word, {"p": p, "q": q, "gcd": math.gcd(p, q)})
     return _report("fine-wilf", {"k": k, "maxLen": max_len}, checked, counterexample,
@@ -140,21 +136,16 @@ def verify_corollary_full(r: int, k: int, max_len: int, budget: int = DEFAULT_CH
     two or more r-th power occurrences is followed by a strictly later
     start. Equivalently: no full word has two occurrences sharing a unique
     start position."""
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"exponent must be an integer >= 2, got {r!r}")
-    _require_alphabet(k)
+    _validate_exponent(r)
+    alphabet = Alphabet(k)
     _require_positive("max_len", max_len)
     t0 = time.perf_counter()
-    # no counterexample is longer than the longest length the budget reaches
-    cex_buf = np.zeros(_kernels._budget_reach(k, max_len, budget), np.int8)
-    status, checked, enumerated, cex_len = _kernels.corollary_full_kernel(
-        r, k, max_len, budget, cex_buf
-    )
+    status, checked, enumerated, bad, _, _ = _kernels.corollary_full_kernel(r, k, max_len, budget)
     if status == 2:
         raise _budget_error("corollary-full", enumerated, budget)
     counterexample = None
-    if status == 1:
-        word = PartialWord(cex_buf[:cex_len], Alphabet(k))
+    if bad is not None:
+        word = PartialWord(bad, alphabet)
         profile = power_profile(word, r)
         last = max(o.start for o in profile.occurrences)
         counterexample = Counterexample(
@@ -165,13 +156,13 @@ def verify_corollary_full(r: int, k: int, max_len: int, budget: int = DEFAULT_CH
             },
         )
     return _report("corollary-full", {"r": r, "k": k, "maxLen": max_len}, checked,
-                   counterexample, {"wordsEnumerated": int(enumerated)}, t0)
+                   counterexample, {"wordsEnumerated": enumerated}, t0)
 
 
 def verify_lemma_h1(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
     """Every word up to max_len over k letters with two or more squares all
     starting at the same position has exactly one hole, at position 1."""
-    _require_alphabet(k)
+    alphabet = Alphabet(k)
     _require_positive("max_len", max_len)
     t0 = time.perf_counter()
     status, checked, enumerated, bad, _, _ = _kernels.lemma_h1_kernel(k, max_len, budget)
@@ -179,7 +170,7 @@ def verify_lemma_h1(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) ->
         raise _budget_error("lemma-h1", enumerated, budget)
     counterexample = None
     if bad is not None:
-        word = PartialWord(bad, Alphabet(k))
+        word = PartialWord(bad, alphabet)
         profile = power_profile(word, 2)
         counterexample = Counterexample(
             word,
@@ -265,7 +256,7 @@ def verify_theorem_sq_bound(
     fail once max_len reaches 2^k, and the counterexample exhibits a word
     attaining k squares.
     """
-    _require_alphabet(k)
+    alphabet = Alphabet(k)
     _require_positive("max_len", max_len)
     if bound is None:
         bound = k
@@ -276,7 +267,6 @@ def verify_theorem_sq_bound(
     )
     if status == 2:
         raise _budget_error("theorem-sq", enumerated, budget)
-    alphabet = Alphabet(k)
     counterexample = None
     if bad is not None:
         word = PartialWord(bad, alphabet)

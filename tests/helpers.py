@@ -104,28 +104,35 @@ def canonicalize_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _brute_square_stats(codes: tuple[int, ...], k: int) -> tuple[int, int, int]:
-    """(square count, distinct starts, first start) by the literal root check."""
-    occs = brute_occurrences(codes, k, 2)
+def _brute_power_stats(codes: tuple[int, ...], k: int, r: int) -> tuple[int, int, int, int]:
+    """(r-th power count, distinct starts, first start, occurrences at the
+    last start) by the literal root check."""
+    occs = brute_occurrences(codes, k, r)
     starts = sorted({s for s, _ in occs})
-    return len(occs), len(starts), starts[0] if starts else -1
+    if not starts:
+        return 0, 0, -1, 0
+    return len(occs), len(starts), starts[0], sum(s == starts[-1] for s, _ in occs)
 
 
-def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = None):
-    """Reference for the theorem-sq (`bound` given) and lemma-h1 (`bound`
-    None) verifiers: walk every word of length 1..max_len over holes and k
-    letters in length-then-lex order, count each word produced against the
-    budget before looking at it, and test only the canonical ones.
+def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = None,
+                       r: int = 2, full: bool = False):
+    """Reference for the start-bounded verifiers: theorem-sq (`bound`
+    given), lemma-h1 (`bound` None) and, with `full`, corollary-full on
+    r-th powers. Walk every word of length 1..max_len over k letters, and
+    holes unless `full`, in length-then-lex order, count each word produced
+    against the budget before looking at it, and test only the canonical
+    ones. corollary-full is tested on every full word as stated: the last
+    power start must carry a single occurrence.
 
     Returns (status, checked, enumerated, counterexample, best, witness):
     status 0 pass, 1 counterexample, 2 budget exceeded; counterexample and
     witness are code tuples or None; best and witness track the largest
-    square count of a premise word seen before the stop, and the first word
-    attaining it.
+    power count of a word whose powers all start at one position, seen
+    before the stop, and the first word attaining it.
     """
     checked = enumerated = best = 0
     witness = None
-    for codes in all_code_tuples(max_len, k):
+    for codes in all_code_tuples(max_len, k, holes=not full):
         if not codes:
             continue
         enumerated += 1
@@ -134,17 +141,17 @@ def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = No
         if not is_canonical_codes(codes):
             continue
         checked += 1
-        squares, starts, _ = _brute_square_stats(codes, k)
-        if starts != 1:
-            continue
-        if bound is None:
-            violates = squares > 1 and (codes[0] != 0 or codes.count(0) != 1)
+        powers, starts, _, at_last = _brute_power_stats(codes, k, r)
+        if full:
+            violates = at_last > 1
+        elif bound is None:
+            violates = starts == 1 and powers > 1 and (codes[0] != 0 or codes.count(0) != 1)
         else:
-            violates = squares > bound
+            violates = starts == 1 and powers > bound
         if violates:
             return 1, checked, enumerated, codes, best, witness
-        if squares > best:
-            best, witness = squares, codes
+        if starts == 1 and powers > best:
+            best, witness = powers, codes
     return 0, checked, enumerated, None, best, witness
 
 
@@ -161,7 +168,7 @@ def expected_verify_report(k: int, max_len: int, budget: int, bound: int | None 
                 f"({enumerated} words produced, budget {budget})")
     counterexample = None
     if cex is not None:
-        squares, _, start = _brute_square_stats(cex, k)
+        squares, _, start, _ = _brute_power_stats(cex, k, 2)
         if bound is None:
             context = {
                 "squares": squares,

@@ -163,13 +163,18 @@ def test_05_full_word_doubled_start_is_never_last(report):
     t0 = time.perf_counter()
     r2 = verify_corollary_full(2, 2, 16)
     r3 = verify_corollary_full(3, 2, 15)
+    # ternary: sum over n <= 14 of S(n,1) + S(n,2) + S(n,3), Stirling
+    # numbers of the second kind
+    t3 = verify_corollary_full(2, 3, 14)
     ok = (r2.passed and r2.instances_checked == 65535
-          and r3.passed and r3.instances_checked == 32767)
+          and r3.passed and r3.instances_checked == 32767
+          and t3.passed and t3.instances_checked == 1195749)
     elapsed = time.perf_counter() - t0
     report(5, 10, ok,
-           "full binary words: a doubled power start is never the last start "
-           f"(r=2 n<=16: {r2.outcome}/{r2.instances_checked}; "
-           f"r=3 n<=15: {r3.outcome}/{r3.instances_checked})",
+           "full words: a doubled power start is never the last start "
+           f"(k=2 r=2 n<=16: {r2.outcome}/{r2.instances_checked}; "
+           f"k=2 r=3 n<=15: {r3.outcome}/{r3.instances_checked}; "
+           f"k=3 r=2 n<=14: {t3.outcome}/{t3.instances_checked})",
            elapsed, 300)
 
 

@@ -1,6 +1,9 @@
 """Bounded exhaustive verifiers: pass verdicts, counterexample machinery,
 budgets, determinism."""
 
+import itertools
+import tracemalloc
+
 import pytest
 
 from helpers import (
@@ -73,6 +76,18 @@ class TestCorollaryFull:
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_corollary_full(1, 2, 5)
+
+    def test_unary_counts_hold_no_table(self):
+        # one letter gives one full word per length: a stop after 10^6 words
+        # must not build anything per length
+        tracemalloc.start()
+        try:
+            result = _kernels.corollary_full_kernel(2, 1, 10**12, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, 10**6, 10**6 + 1, None, 1, (1, 1))
+        assert peak < 10**5
 
 
 class TestLemmaH1:
@@ -149,6 +164,8 @@ class TestTheoremSq:
 
 # k -> largest max_len of the odometer-reference grid
 GRID_LENGTHS = {1: 9, 2: 9, 3: 6}
+# k -> largest max_len of the corollary-full grid, on full words
+FULL_GRID_LENGTHS = {1: 9, 2: 10, 3: 7}
 GRID_BUDGETS = (-3, 0, 1, 3, 7, 50, 5000, 10**8)
 
 
@@ -162,9 +179,10 @@ def _report_or_error(verifier, *args, **kwargs):
 
 
 class TestOdometerReferenceGrid:
-    """theorem-sq and lemma-h1 against the odometer reference: the kernels'
-    full return tuples (including the counts at a budget stop) and the full
-    reports or budget error texts, on pass, fail and budget-exceeded cases."""
+    """The start-bounded kernels against the odometer reference: their full
+    return tuples (including the counts at a budget stop) and, for
+    theorem-sq and lemma-h1, the full reports or budget error texts, on
+    pass, fail and budget-exceeded cases."""
 
     @pytest.mark.parametrize("k", sorted(GRID_LENGTHS))
     def test_theorem_sq(self, k):
@@ -191,21 +209,32 @@ class TestOdometerReferenceGrid:
                     verify_lemma_h1, k, n, budget=budget
                 ) == expected_verify_report(k, n, budget), case
 
+    @pytest.mark.parametrize("k", sorted(FULL_GRID_LENGTHS))
+    def test_corollary_full(self, k):
+        for r in (2, 3, 4):
+            for n in range(1, FULL_GRID_LENGTHS[k] + 1):
+                for budget in GRID_BUDGETS:
+                    assert _kernels.corollary_full_kernel(r, k, n, budget) == (
+                        odometer_reference(k, n, budget, r=r, full=True)
+                    ), (r, n, budget)
+
 
 class TestStartBoundedWalk:
-    """The tree walk behind theorem-sq and lemma-h1, word by word."""
+    """The tree walk behind the start-bounded verifiers, word by word."""
 
     @pytest.mark.parametrize("k, max_len", [(1, 10), (2, 8), (3, 7), (4, 5)])
     def test_yields_every_premise_word(self, k, max_len):
-        # every canonical word whose squares all start at one position,
-        # with its square count, in length-then-lex order
-        expected = []
-        for codes in all_code_tuples(max_len, k):
-            if is_canonical_codes(codes):
-                squares = brute_occurrences(codes, k, 2)
-                if len({start for start, _ in squares}) == 1:
-                    expected.append((codes, len(squares)))
-        assert list(_kernels._start_bounded_words(k, max_len)) == expected
+        # every canonical word whose r-th powers all start at one position,
+        # with its power count, in length-then-lex order; over holes and
+        # letters, and over letters only
+        for r, full in itertools.product((2, 3), (False, True)):
+            expected = []
+            for codes in all_code_tuples(max_len, k, holes=not full):
+                if is_canonical_codes(codes):
+                    powers = brute_occurrences(codes, k, r)
+                    if len({start for start, _ in powers}) == 1:
+                        expected.append((codes, len(powers)))
+            assert list(_kernels._start_bounded_words(r, k, int(full), max_len)) == expected, (r, full)
 
     def test_walk_stops_where_the_tree_ends(self, monkeypatch):
         # binary premise words are finitely many, so past the tree's depth a
@@ -253,20 +282,24 @@ class TestFailureBranches:
         }
 
     def test_corollary_full(self, monkeypatch):
-        def kernel(r, k, max_len, budget, cex):
-            cex[:4] = (1, 2, 2, 1)
-            return 1, 5, 8, 4
-
-        monkeypatch.setattr(_kernels, "corollary_full_kernel", kernel)
+        # the real tree walk over full words, refuting `abba` (odometer
+        # position 21, the 14th canonical word)
+        decide = _kernels._decide_start_bounded
+        monkeypatch.setattr(
+            _kernels, "_decide_start_bounded",
+            lambda r, k, lo, max_len, budget, violates: decide(
+                r, k, lo, max_len, budget, lambda codes, powers: codes == (1, 2, 2, 1)
+            ),
+        )
         assert _doc(verify_corollary_full(2, 2, 6)) == {
             "claim": "corollary-full",
             "parameters": {"r": 2, "k": 2, "maxLen": 6},
-            "instancesChecked": 5,
+            "instancesChecked": 14,
             "outcome": "fail",
             "counterexample": {
                 "word": "abba", "context": {"start": 2, "occurrencesAtStart": 1},
             },
-            "findings": {"wordsEnumerated": 8},
+            "findings": {"wordsEnumerated": 21},
         }
 
     def test_lemma_h1(self, monkeypatch):
@@ -275,8 +308,8 @@ class TestFailureBranches:
         decide = _kernels._decide_start_bounded
         monkeypatch.setattr(
             _kernels, "_decide_start_bounded",
-            lambda k, max_len, budget, violates: decide(
-                k, max_len, budget, lambda codes, squares: codes == (1, 1)
+            lambda r, k, lo, max_len, budget, violates: decide(
+                r, k, lo, max_len, budget, lambda codes, squares: codes == (1, 1)
             ),
         )
         assert _doc(verify_lemma_h1(2, 4)) == {
