@@ -1,13 +1,19 @@
 """JIT-compiled inner loops for power detection, theorem checking, and search.
 
-Every @compile_kernel function is plain Python over numpy arrays, compiled
-by one rule (numba njit, cached) when numba is importable and the
-PWPOWERS_NO_NUMBA environment variable is unset. Without numba the same
-functions run interpreted: identical results, much slower. No kernel has to
-release the interpreter lock, as `search --jobs` runs partitions in worker
-processes. Symbol encoding throughout: 0 is the hole, 1..k are letters.
-Positions inside kernels are 0-indexed; the public wrappers shift to the
-1-indexed convention.
+Every @compile_kernel function is plain Python, compiled by one rule (numba
+njit, cached) when numba is importable and the PWPOWERS_NO_NUMBA
+environment variable is unset. Without numba the same functions run
+interpreted: identical results, much slower, and numpy is never imported.
+No kernel has to release the interpreter lock, as `search --jobs` runs
+partitions in worker processes. Symbol encoding throughout: 0 is the hole,
+1..k are letters. Positions inside kernels are 0-indexed; the public
+wrappers shift to the 1-indexed convention.
+
+Kernels use only what both backends accept: `len(a)`, `a[i]` and
+`a[i][j]` on their arguments, and lists built inside the function. The
+scan reads a word through the read-only byte view `PartialWord.codes`; the
+buffers a caller hands a kernel come from `new_buffer`, which makes lists
+when interpreted and numpy arrays for the compiled kernels.
 
 Both occurrence scans, `occurrence_scan` and the per-append scan inside
 `search_kernel`, use one rule. A break pair for root length p is two
@@ -17,12 +23,12 @@ scan sweeps starts right to left, keeping for each p the nearest break pair
 to the right; the search keeps, per depth, the rightmost one to the left.
 Either way the cost per window is O(1) plus a walk over holes. Both kernels
 copy their input into plain int lists built inside the function:
-interpreted, list indexing is several times cheaper than reading numpy int8
-scalars, and numba compiles such lists too. The independent check of both,
-by explicit root construction, lives in tests/helpers.py.
+interpreted, list indexing is cheaper than indexing a byte view, and numba
+compiles such lists too. The independent check of both, by explicit root
+construction, lives in tests/helpers.py.
 
 The fine-wilf kernel enumerates full words length first, then lexicographic
-by symbol code (a < b < ...), via a plain odometer on the code array. The
+by symbol code (a < b < ...), via a plain odometer on a code list. The
 theorem-sq, lemma-h1 and corollary-full kernels report in that same order
 (hole < a < b < ... for partial words) but walk only the start-bounded
 tree, uncompiled, scoring each append with the search's `_append`, and
@@ -34,40 +40,45 @@ skipping non-canonical words loses nothing.
 
 import os
 
-import numpy as np
-
 NUMBA_ENABLED = os.environ.get("PWPOWERS_NO_NUMBA", "").strip().lower() not in ("1", "true", "yes")
 if NUMBA_ENABLED:
     try:
         import numba
+        import numpy as np
     except ImportError:
         NUMBA_ENABLED = False
 
 compile_kernel = numba.njit(cache=True) if NUMBA_ENABLED else (lambda func: func)
 
 
-def occurrence_capacity(n: int, r: int) -> int:
-    """Upper bound on the number of r-th power occurrences in a length-n word."""
-    return (n // r) * n + 1
+def new_buffer(rows, cols=None):
+    """A zeroed integer buffer for a kernel to fill: `rows` entries, or
+    `rows` rows of `cols` entries each. Lists when interpreted; a numpy
+    array when the kernels are compiled."""
+    if NUMBA_ENABLED:
+        return np.zeros(rows if cols is None else (rows, cols), np.int64)
+    if cols is None:
+        return [0] * rows
+    return [[0] * cols for _ in range(rows)]
 
 
 @compile_kernel
-def occurrence_scan(word, r, out):
-    # sweep starts right to left; reach[p] is the right end of the nearest
+def occurrence_scan(word, r):
+    # (start, length) of every r-th power occurrence, 0-indexed.
+    # Sweep starts right to left; reach[p] is the right end of the nearest
     # break pair (consecutive defined symbols of one class mod p that
     # disagree) whose left end is at or after `start`, or n when there is
     # none, so window (start, r*p) is a power iff reach[p] >= start + r*p.
-    # Rows are written from the end of `out`, each start's lengths in
-    # descending order, then moved to the front: (start, length) order,
-    # which power_occurrences and the verifiers rely on.
-    n = word.shape[0]
+    # Rows are appended with starts descending, each start's lengths in
+    # descending order, then reversed: (start, length) order, which
+    # power_occurrences relies on.
+    n = len(word)
     w = [0] * n
     for i in range(n):
         w[i] = int(word[i])
     pmax = n // r
     reach = [n] * (pmax + 1)
-    top = out.shape[0]
-    pos = top
+    rows = []
     for start in range(n - 1, -1, -1):
         s = w[start]
         if s != 0:
@@ -79,14 +90,9 @@ def occurrence_scan(word, r, out):
                     reach[p] = j
         for p in range((n - start) // r, 0, -1):
             if reach[p] >= start + r * p:
-                pos -= 1
-                out[pos, 0] = start
-                out[pos, 1] = r * p
-    cnt = top - pos
-    for i in range(cnt):
-        out[i, 0] = out[pos + i, 0]
-        out[i, 1] = out[pos + i, 1]
-    return cnt
+                rows.append((start, r * p))
+    rows.reverse()
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +111,7 @@ def occurrence_scan(word, r, out):
 @compile_kernel
 def _is_canonical_codes(w):
     mu = 0
-    for i in range(w.shape[0]):
+    for i in range(len(w)):
         s = w[i]
         if s > mu + 1:
             return False
@@ -129,7 +135,7 @@ def _budget_reach(symbols, max_len, budget):
 def _next_full_word(w, k):
     # advance the odometer over letters 1..k by one word of the same
     # length; False, with w back at all 1s, after the last one
-    j = w.shape[0] - 1
+    j = len(w) - 1
     while j >= 0:
         if w[j] < k:
             w[j] += 1
@@ -146,7 +152,7 @@ def fine_wilf_kernel(k, max_len, budget, cex):
     checked = 0
     enumerated = 0
     for n in range(1, max_len + 1):
-        w = np.ones(n, np.int8)
+        w = [1] * n
         while True:
             enumerated += 1
             if enumerated > budget:
@@ -173,7 +179,8 @@ def fine_wilf_kernel(k, max_len, budget, cex):
                         while b:
                             a, b = b, a % b
                         if n >= p + q - a and mask & (1 << (a - 1)) == 0:
-                            cex[:n] = w
+                            for i in range(n):
+                                cex[i] = w[i]
                             return 1, checked, enumerated, n, p, q
             if not _next_full_word(w, k):
                 break
@@ -351,8 +358,8 @@ def _word_less_than_row(word, m, wit_buf, wit_lens, j):
     if m != jl:
         return m < jl
     for i in range(m):
-        if word[i] != wit_buf[j, i]:
-            return word[i] < wit_buf[j, i]
+        if word[i] != wit_buf[j][i]:
+            return word[i] < wit_buf[j][i]
     return False
 
 
@@ -372,11 +379,11 @@ def _insert_witness(word, m, wit_buf, wit_lens, n_wit, wcap):
     while j > pos:
         wit_lens[j] = wit_lens[j - 1]
         for i in range(wit_lens[j]):
-            wit_buf[j, i] = wit_buf[j - 1, i]
+            wit_buf[j][i] = wit_buf[j - 1][i]
         j -= 1
     wit_lens[pos] = m
     for i in range(m):
-        wit_buf[pos, i] = word[i]
+        wit_buf[pos][i] = word[i]
     return n_wit + 1 if n_wit < wcap else wcap
 
 
@@ -444,7 +451,7 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
     """
     n = max_len
     pmax = n // r
-    d0 = prefix.shape[0]
+    d0 = len(prefix)
     # no node lies deeper than the prefix plus one symbol per node of budget
     deep = min(n, d0 + node_budget + 1)
     w = [0] * (deep + 1)
@@ -466,7 +473,7 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
 
     best = -1
     n_wit = 0
-    front_rows = frontier.shape[0]
+    front_rows = len(frontier)
     n_front = 0
     nodes = 0
     pruned_sym = 0
@@ -521,7 +528,7 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
                     else:
                         if n_front < front_rows:
                             for i in range(m):
-                                frontier[n_front, i] = w[i]
+                                frontier[n_front][i] = w[i]
                             n_front += 1
                         if new_starts:
                             _unmark(marked_at, m, r)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import List, NamedTuple, Optional
 
 from . import _kernels
 from .errors import NotAPowerError
@@ -54,16 +52,10 @@ def enumerate_roots(w: PartialWord, r: int, cap: int = DEFAULT_ROOT_CAP):
     k = w.alphabet.size
     p = len(w) // r
     codes = w.codes
-    forced: List[int] = []
-    free_count = 0
-    for c in range(p):
-        cls = codes[c::p]
-        cls = cls[cls != 0]
-        if cls.size:
-            forced.append(int(cls[0]))
-        else:
-            forced.append(0)
-            free_count += 1
+    # is_power held, so each residue class carries at most one letter; 0
+    # marks a class of holes only
+    forced = [max(codes[c::p]) for c in range(p)]
+    free_count = forced.count(0)
     total = k**free_count
     choice_sets = [range(1, k + 1) if f == 0 else (f,) for f in forced]
     roots = [
@@ -73,10 +65,10 @@ def enumerate_roots(w: PartialWord, r: int, cap: int = DEFAULT_ROOT_CAP):
     return roots, total
 
 
-@dataclass(frozen=True, order=True)
-class PowerOccurrence:
+class PowerOccurrence(NamedTuple):
     """One power occurrence: factor w[start .. start+length-1] is an r-th
-    power. Field order gives the canonical (start, length) sort."""
+    power. Field order gives the canonical (start, length) sort. A tuple,
+    so it compares equal to the plain tuple of its fields."""
 
     start: int
     length: int
@@ -106,26 +98,18 @@ class PowerProfile:
         }
 
 
-def _scan(codes: np.ndarray, r: int) -> np.ndarray:
-    """(start, length) rows of every r-th power occurrence in an int8 code
-    array, 0-indexed, sorted by (start, length)."""
-    out = np.empty((_kernels.occurrence_capacity(codes.shape[0], r), 2), np.int32)
-    cnt = _kernels.occurrence_scan(codes, r, out)
-    return out[:cnt]
-
-
 def power_occurrences(w: PartialWord, r: int) -> List[PowerOccurrence]:
     """All r-th power occurrences, sorted by (start, length), 1-indexed."""
     _validate_exponent(r)
     return [
-        PowerOccurrence(s + 1, L, r, L // r) for s, L in _scan(w.codes, r).tolist()
+        PowerOccurrence(s + 1, L, r, L // r) for s, L in _kernels.occurrence_scan(w.codes, r)
     ]
 
 
 def start_positions(w: PartialWord, r: int) -> tuple[int, ...]:
     """Sorted distinct 1-indexed starts of r-th power occurrences."""
     _validate_exponent(r)
-    return tuple(sorted({s + 1 for s in _scan(w.codes, r)[:, 0].tolist()}))
+    return tuple(sorted({s + 1 for s, _ in _kernels.occurrence_scan(w.codes, r)}))
 
 
 def unique_start_position(w: PartialWord, r: int) -> Optional[int]:
@@ -138,7 +122,7 @@ def distinct_power_factors(w: PartialWord, r: int) -> int:
     """Number of distinct factors (as partial words) among the occurrences."""
     _validate_exponent(r)
     codes = w.codes
-    return len({codes[s : s + L].tobytes() for s, L in _scan(codes, r)})
+    return len({codes[s : s + L].tobytes() for s, L in _kernels.occurrence_scan(codes, r)})
 
 
 def power_profile(w: PartialWord, r: int) -> PowerProfile:

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import _kernels
 from .errors import ResourceLimitError
 from .powers import _validate_exponent
@@ -39,14 +37,11 @@ def canonicalize(w: PartialWord) -> PartialWord:
     when their canonical forms are equal."""
     mapping = [0] * (w.alphabet.size + 1)
     nxt = 0
-    out = np.empty(len(w), np.int8)
-    for i, c in enumerate(w.codes):
-        c = int(c)
+    for c in w.codes:
         if c != 0 and mapping[c] == 0:
             nxt += 1
             mapping[c] = nxt
-        out[i] = mapping[c]
-    return PartialWord(out, w.alphabet)
+    return PartialWord([mapping[c] for c in w.codes], w.alphabet)
 
 
 def is_canonical(w: PartialWord) -> bool:
@@ -109,16 +104,16 @@ def _survey_prefixes(q: SearchQuery, depth: int, budget: int):
     length exactly `depth`, in lex order, whose subtrees remain.
     """
     k, wcap = q.alphabet_size, q.witness_cap
-    wit_buf = np.zeros((wcap, depth), np.int8)
-    wit_lens = np.zeros(wcap, np.int32)
-    frontier = np.zeros((_kernels._canonical_table(k, depth, 0)[depth][0], depth), np.int8)
+    wit_buf = _kernels.new_buffer(wcap, depth)
+    wit_lens = _kernels.new_buffer(wcap)
+    frontier = _kernels.new_buffer(_kernels._canonical_table(k, depth, 0)[depth][0], depth)
     # the empty word is the survey's first node, so the kernel gets one less
     status, nodes, pruned_sym, pruned_start, best, n_wit, n_front = _kernels.search_kernel(
-        np.zeros(0, np.int8), depth, k, q.exponent, q.max_start_positions,
+        _kernels.new_buffer(0), depth, k, q.exponent, q.max_start_positions,
         budget - 1, wcap, wit_buf, wit_lens, frontier,
     )
     result = (status, nodes + 1, pruned_sym, pruned_start, best, n_wit)
-    partitions = [tuple(row) for row in frontier[:n_front].tolist()]
+    partitions = [tuple(row) for row in frontier[:n_front]]
     return result, wit_buf, wit_lens, partitions
 
 
@@ -127,10 +122,12 @@ def _run_partition(task):
     max_len, k, r, t, quota, witness_cap). Returns (result, wit_buf, wit_lens)."""
     prefix, n, k, r, t, quota, wcap = task
     # a witness is no deeper than the deepest node the quota reaches
-    wit_buf = np.zeros((wcap, min(n, len(prefix) + quota + 1)), np.int8)
-    wit_lens = np.zeros(wcap, np.int32)
-    res = _kernels.search_kernel(np.array(prefix, np.int8), n, k, r, t, quota, wcap,
-                                 wit_buf, wit_lens, np.zeros((0, n), np.int8))
+    wit_buf = _kernels.new_buffer(wcap, min(n, len(prefix) + quota + 1))
+    wit_lens = _kernels.new_buffer(wcap)
+    word = _kernels.new_buffer(len(prefix))
+    word[:] = prefix
+    res = _kernels.search_kernel(word, n, k, r, t, quota, wcap,
+                                 wit_buf, wit_lens, _kernels.new_buffer(0, n))
     return res[:6], wit_buf, wit_lens
 
 
@@ -191,7 +188,7 @@ def search_max_powers(
             exhaustive = False
         if p_best == best:
             for j in range(int(n_wit)):
-                witness_codes.add(tuple(wit_buf[j, : wit_lens[j]].tolist()))
+                witness_codes.add(tuple(wit_buf[j][: wit_lens[j]]))
     ordered = sorted(witness_codes, key=lambda c: (len(c), c))[:wcap]
     alphabet = Alphabet(k)
     witnesses = tuple(PartialWord(c, alphabet) for c in ordered)

@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import _kernels
 from .constructions import cube_examples, prop2_word, prop3_word, square_chain
 from .errors import ResourceLimitError
@@ -116,7 +114,7 @@ def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -
     if max_len > _MAX_FINE_WILF_LEN:
         raise ValueError(f"max_len above {_MAX_FINE_WILF_LEN} is not supported")
     t0 = time.perf_counter()
-    cex_buf = np.zeros(max_len, np.int8)
+    cex_buf = _kernels.new_buffer(max_len)
     status, checked, enumerated, cex_len, p, q = _kernels.fine_wilf_kernel(
         k, max_len, budget, cex_buf
     )
@@ -234,7 +232,7 @@ def verify_lemma_short(k: int, max_u_len: int, budget: int = DEFAULT_CHECK_BUDGE
     def refute(w, u_len, c, tail):
         for o in power_occurrences(w, 2):
             # w[m+1] equals v[1], for m = |square| / 2
-            if o.start == 1 and o.length <= u_len and int(w.codes[o.length // 2]) == c:
+            if o.start == 1 and o.length <= u_len and w.codes[o.length // 2] == c:
                 v = PartialWord((c,) + tail, w.alphabet)
                 if not power_occurrences(v, 2):
                     return {"uLen": u_len, "squareLength": o.length, "v": format_word(v)}

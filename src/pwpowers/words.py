@@ -7,15 +7,14 @@ letters ``a``..``z`` in order, so the numeric order of codes matches the
 textual order ``◊ < a < b < ...`` used everywhere for enumeration.
 
 Positions are 1-indexed in the public API, matching the usual stringology
-convention; the underlying code arrays are plain 0-indexed numpy arrays.
+convention; the underlying codes are a 0-indexed `bytes` string, one code
+per byte, which `PartialWord.codes` exposes as a read-only memoryview.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List
-
-import numpy as np
 
 from .errors import (
     IncompatibleError,
@@ -28,6 +27,7 @@ HOLE_CHAR = "."
 HOLE_INPUT_CHARS = frozenset({".", "◊"})  # ASCII dot or lozenge
 MAX_ALPHABET = 26
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_CODE_TO_CHAR = bytes.maketrans(bytes(range(MAX_ALPHABET + 1)), (HOLE_CHAR + _LETTERS).encode())
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Alphabet:
 
 
 class PartialWord:
-    """An immutable partial word: a code array plus its alphabet.
+    """An immutable partial word: a code string plus its alphabet.
 
     Equality and hashing consider both the symbols and the alphabet size, so
     the same text over different alphabets gives distinct values (they have
@@ -60,19 +60,21 @@ class PartialWord:
 
     __slots__ = ("_codes", "_alphabet")
 
-    def __init__(self, codes: Iterable[int] | np.ndarray, alphabet: Alphabet):
-        arr = np.array(list(codes) if not isinstance(codes, np.ndarray) else codes,
-                       dtype=np.int8).reshape(-1)
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) > alphabet.size):
+    def __init__(self, codes: Iterable[int], alphabet: Alphabet):
+        # anything but bytes goes through list(): bytes() of an array would
+        # copy its raw buffer, several bytes per code for wide integer types
+        if not isinstance(codes, bytes):
+            codes = list(codes)
+        if codes and (min(codes) < 0 or max(codes) > alphabet.size):
             raise ValueError("symbol code outside the alphabet's range")
-        arr.setflags(write=False)
-        self._codes = arr
+        self._codes = bytes(codes)
         self._alphabet = alphabet
 
     @property
-    def codes(self) -> np.ndarray:
-        """Read-only int8 array; 0 is the hole, 1..k are letters."""
-        return self._codes
+    def codes(self) -> memoryview:
+        """Read-only view of the codes, one int per position; 0 is the
+        hole, 1..k are letters."""
+        return memoryview(self._codes)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -81,28 +83,26 @@ class PartialWord:
     @property
     def is_full(self) -> bool:
         """True when the word has no holes."""
-        return bool(np.all(self._codes != 0))
+        return 0 not in self._codes
 
     def defined_positions(self) -> tuple[int, ...]:
         """1-indexed positions carrying a letter."""
-        return tuple(int(i) + 1 for i in np.flatnonzero(self._codes != 0))
+        return tuple(i for i, c in enumerate(self._codes, start=1) if c)
 
     def hole_positions(self) -> tuple[int, ...]:
         """1-indexed undefined positions."""
-        return tuple(int(i) + 1 for i in np.flatnonzero(self._codes == 0))
+        return tuple(i for i, c in enumerate(self._codes, start=1) if not c)
 
     def __len__(self) -> int:
-        return int(self._codes.size)
+        return len(self._codes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartialWord):
             return NotImplemented
-        return (self._alphabet == other._alphabet
-                and self._codes.shape == other._codes.shape
-                and bool(np.all(self._codes == other._codes)))
+        return self._alphabet == other._alphabet and self._codes == other._codes
 
     def __hash__(self) -> int:
-        return hash((self._alphabet.size, self._codes.tobytes()))
+        return hash((self._alphabet.size, self._codes))
 
     def __str__(self) -> str:
         return format_word(self)
@@ -136,8 +136,7 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> PartialWord:
 
 def format_word(w: PartialWord) -> str:
     """Canonical ASCII text: letters a..z, holes as '.'."""
-    letters = w.alphabet.letters()
-    return "".join(HOLE_CHAR if c == 0 else letters[c - 1] for c in w.codes)
+    return w._codes.translate(_CODE_TO_CHAR).decode("ascii")
 
 
 def empty_word(alphabet: Alphabet | None = None) -> PartialWord:
@@ -149,7 +148,7 @@ def factor(w: PartialWord, i: int, j: int) -> PartialWord:
     n = len(w)
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= j <= n):
         raise OutOfRangeError(f"factor bounds ({i},{j}) outside 1..{n}")
-    return PartialWord(w.codes[i - 1 : j], w.alphabet)
+    return PartialWord(w._codes[i - 1 : j], w.alphabet)
 
 
 def is_contained_in(v: PartialWord, w: PartialWord) -> bool:
@@ -157,23 +156,21 @@ def is_contained_in(v: PartialWord, w: PartialWord) -> bool:
     with the same letter. Words of different length are never related."""
     if len(v) != len(w):
         return False
-    vc, wc = v.codes, w.codes
-    return bool(np.all((vc == 0) | (vc == wc)))
+    return all(a == 0 or a == b for a, b in zip(v._codes, w._codes))
 
 
 def is_compatible(u: PartialWord, v: PartialWord) -> bool:
     """True when u and v agree wherever both are defined (same length only)."""
     if len(u) != len(v):
         return False
-    uc, vc = u.codes, v.codes
-    return bool(np.all((uc == 0) | (vc == 0) | (uc == vc)))
+    return all(a == 0 or b == 0 or a == b for a, b in zip(u._codes, v._codes))
 
 
 def join(u: PartialWord, v: PartialWord) -> PartialWord:
     """Least upper bound of two compatible words: defined wherever either is."""
     if not is_compatible(u, v):
         raise IncompatibleError(f"words {format_word(u)!r} and {format_word(v)!r} are not compatible")
-    codes = np.where(u.codes != 0, u.codes, v.codes)
+    codes = bytes(a or b for a, b in zip(u._codes, v._codes))
     alphabet = u.alphabet if u.alphabet.size >= v.alphabet.size else v.alphabet
     return PartialWord(codes, alphabet)
 
@@ -183,12 +180,9 @@ def is_strong_periodic(w: PartialWord, p: int) -> bool:
     same letter (positions i, j with i ≡ j mod p, 1-indexed)."""
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"period must be a positive integer, got {p!r}")
-    codes = w.codes
-    n = codes.size
-    for c in range(min(p, n)):
-        cls = codes[c::p]
-        cls = cls[cls != 0]
-        if cls.size and bool(np.any(cls != cls[0])):
+    codes = w._codes
+    for c in range(min(p, len(codes))):
+        if len(set(codes[c::p]).difference((0,))) > 1:
             return False
     return True
 

@@ -411,21 +411,20 @@ def root_exists(w, start, length, k, r):
 
 
 @compile_kernel
-def occurrence_scan_by_roots(word, k, r, out):
-    # occurrence set computed purely through explicit root construction,
-    # the independent oracle for _kernels.occurrence_scan; the word is read
-    # once into an int list, as the production kernels do
-    n = word.shape[0]
+def occurrence_scan_by_roots(word, k, r):
+    # (start, length) rows of the occurrence set computed purely through
+    # explicit root construction, the independent oracle for
+    # _kernels.occurrence_scan; the word is read once into an int list, as
+    # the production kernels do
+    n = len(word)
     w = [0] * n
     for i in range(n):
         w[i] = int(word[i])
-    cnt = 0
+    rows = []
     for start in range(n):
         length = r
         while start + length <= n:
             if root_exists(w, start, length, k, r):
-                out[cnt, 0] = start
-                out[cnt, 1] = length
-                cnt += 1
+                rows.append((start, length))
             length += r
-    return cnt
+    return rows

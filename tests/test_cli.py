@@ -375,6 +375,27 @@ def test_cli_import_loads_no_pool():
     assert res.stdout == "[]\n"
 
 
+def test_interpreted_cli_loads_no_numpy():
+    # only the compiled kernels take numpy arrays; importing numpy would cost
+    # most of an interpreted command's start-up
+    code = (
+        "import contextlib, io, sys\n"
+        "import pwpowers.cli as cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for argv in (['analyze', '.abacaba', '--r', '2'],\n"
+        "             ['verify', 'theorem-sq', '--k', '2', '--max-len', '8'],\n"
+        "             ['search', '--r', '3', '--k', '2', '--max-len', '8']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PWPOWERS_NO_NUMBA="1"), timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[False, False, False, False]\n"
+
+
 json_strings = st.text(
     st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2028\u20ac\U0001f600')
     | st.characters()

@@ -113,6 +113,14 @@ class TestOccurrences:
         for o in occs:
             assert o.length == o.exponent * o.root_length
 
+    def test_occurrence_is_an_immutable_tuple(self):
+        occ = PowerOccurrence(start=2, length=4, exponent=2, root_length=2)
+        assert occ == (2, 4, 2, 2)
+        assert sorted([occ, PowerOccurrence(2, 2, 2, 1), PowerOccurrence(1, 6, 2, 3)]) == [
+            (1, 6, 2, 3), (2, 2, 2, 1), (2, 4, 2, 2)]
+        with pytest.raises(AttributeError):
+            occ.start = 1
+
     def test_start_positions(self):
         assert start_positions(word("aaaa"), 2) == (1, 2, 3)
         assert start_positions(word(".abacaba"), 2) == (1,)

@@ -189,7 +189,8 @@ class TestSearchAgreesWithTheoremSq:
 class TestCrossKernelAgreement:
     """The production break-pair scan, in its own output order, equals the
     sorted root-construction oracle word-for-word, on fixed edge inputs and
-    a randomized sample, into an exactly sized and an oversized buffer."""
+    a randomized sample, read through the byte view PartialWord.codes
+    hands it."""
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_scan_variants_agree(self, r):
@@ -204,18 +205,12 @@ class TestCrossKernelAgreement:
             ((1,) + (0,) * 25 + (1,) + (0,) * 7 + (2,), 2),
             ((0, 0, 1) + (0,) * 20 + (2, 0, 1) + (0,) * 11 + (1, 0, 3), 3),
         ]
-        samples = [(np.array(codes, np.int8), k) for codes, k in fixed]
+        samples = [(bytes(codes), k) for codes, k in fixed]
         rng = np.random.default_rng(20260815 + r)
         for _ in range(300):
             n = int(rng.integers(0, 41))
             k = int(rng.integers(1, 4))
-            samples.append((rng.integers(0, k + 1, size=n).astype(np.int8), k))
+            samples.append((rng.integers(0, k + 1, size=n).astype(np.uint8).tobytes(), k))
         for codes, k in samples:
-            cap = _kernels.occurrence_capacity(codes.shape[0], r)
-            out_roots = np.empty((cap, 2), np.int32)
-            c_roots = occurrence_scan_by_roots(codes, k, r, out_roots)
-            expected = sorted(map(tuple, out_roots[:c_roots]))
-            for size in (cap, cap + 37):
-                out_scan = np.full((size, 2), -1, np.int32)
-                c_scan = _kernels.occurrence_scan(codes, r, out_scan)
-                assert list(map(tuple, out_scan[:c_scan])) == expected, (codes.tolist(), size)
+            expected = sorted(occurrence_scan_by_roots(memoryview(codes), k, r))
+            assert _kernels.occurrence_scan(memoryview(codes), r) == expected, list(codes)

@@ -3,6 +3,9 @@ name; a rename in the package must fail here, not only under --trace 1."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import pwpowers
 import pwpowers.cli
@@ -10,17 +13,46 @@ import pwpowers.cli
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_patch_points_exist(monkeypatch):
+@pytest.fixture
+def trace(monkeypatch):
     # trace.py imports its sibling workloads.py; it is loaded under another
     # name because `trace` is a stdlib module
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_trace", PERFBENCH / "trace.py")
-    trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_patch_points_exist(trace):
     points = trace._patch_points(pwpowers)
     assert points
     for module, attr, name, _note in points:
         assert callable(getattr(module, attr, None)), (module.__name__, attr, name)
+
+
+def test_notes_read_real_calls(trace):
+    # each note reads the arguments and result of the function it wraps
+    # (the scan's note reads its word's `shape`), so a change of what the
+    # package passes there must fail here, not only under --trace 1
+    argvs = [
+        ["analyze", ".abacaba", "--r", "2"],  # parse_word, power_profile, the scan
+        ["verify", "theorem-sq", "--k", "2", "--max-len", "8"],
+        # search_max_powers is patched on its module, which `table` calls
+        ["search", "table", "--r-min", "3", "--r-max", "3", "--k-min", "2", "--k-max", "2",
+         "--max-len", "8"],
+    ]
+    spans = []
+    for argv in argvs:
+        (_, rc, out), call_spans = trace.traced_call(pwpowers, SimpleNamespace(argv=argv, stdin=None))
+        assert rc == 0, argv
+        trace.layer_metrics(call_spans, out)
+        spans += call_spans
+    for _, _, name, note in trace._patch_points(pwpowers):
+        called = [span for span in spans if span[0] == name]
+        assert called, name
+        if note is not None:
+            assert all(span[4] is not None for span in called), name
 
 
 def _spy(monkeypatch, name):

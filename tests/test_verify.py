@@ -1,7 +1,9 @@
 """Bounded exhaustive verifiers: pass verdicts, counterexample machinery,
 budgets, determinism."""
 
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import pytest
@@ -401,3 +403,14 @@ class TestReportShape:
         w = report.counterexample.word
         # independent recomputation through an unrelated code path
         assert (len(w) // 2) in strong_periods(w)
+
+    def test_values_pickle_and_deepcopy(self):
+        # callers may copy results or hand them to other processes
+        report = verify_theorem_sq_bound(2, 6, bound=1)
+        word = report.counterexample.word
+        for value in (word, power_profile(word, 2), report):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert type(twin) is type(value)
+                assert twin == value
+        twin = pickle.loads(pickle.dumps(word))
+        assert (str(twin), hash(twin)) == (".aba", hash(word))

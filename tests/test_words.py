@@ -97,7 +97,7 @@ class TestWordObject:
     def test_codes_read_only(self):
         w = word(".ab")
         assert list(w.codes) == [0, 1, 2]
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             w.codes[0] = 1
 
     def test_code_validation(self):
@@ -105,6 +105,15 @@ class TestWordObject:
             PartialWord([0, 3], Alphabet(2))
         with pytest.raises(ValueError):
             PartialWord([-1], Alphabet(2))
+        with pytest.raises(ValueError):
+            PartialWord(np.array([1, -1], np.int8), Alphabet(2))
+
+    def test_codes_from_any_int_sequence(self):
+        # one code per position whatever the integer type: bytes() of a wide
+        # array would copy its raw buffer, several bytes per code
+        for codes in ([0, 1, 2], (0, 1, 2), np.array([0, 1, 2], np.int64), b"\x00\x01\x02"):
+            w = PartialWord(codes, Alphabet(2))
+            assert (w.codes.tolist(), w.codes.shape, str(w)) == ([0, 1, 2], (3,), ".ab")
 
     def test_repr_and_str(self):
         w = word(".ab")
