@@ -1,4 +1,4 @@
-"""JIT-compiled inner loops for power detection, theorem checking, and search.
+"""Inner loops for power detection, theorem checking, and search.
 
 Every @compile_kernel function is plain Python, compiled by one rule (numba
 njit, cached) when numba is importable and the PWPOWERS_NO_NUMBA
@@ -27,17 +27,19 @@ interpreted, list indexing is cheaper than indexing a byte view, and numba
 compiles such lists too. The independent check of both, by explicit root
 construction, lives in tests/helpers.py.
 
-The fine-wilf kernel enumerates full words length first, then lexicographic
-by symbol code (a < b < ...), via a plain odometer on a code list. The
-theorem-sq, lemma-h1 and corollary-full kernels report in that same order
-(hole < a < b < ... for partial words) but walk only the start-bounded
-tree, uncompiled, scoring each append with the search's `_append`, and
-count the rest of the space in closed form (see their section). Canonical
-representatives are words whose letters first appear in alphabetical
-order; predicates checked here are invariant under letter renaming, so
-skipping non-canonical words loses nothing.
+The verifier kernels (fine-wilf, theorem-sq, lemma-h1, corollary-full)
+report as an odometer over every word would, length first, then
+lexicographic by symbol code (hole < a < b < ...), but run none and are
+not compiled. Each walks only the words its claim constrains: fine-wilf
+the canonical full words, the other three the start-bounded tree, scoring
+each append with the search's `_append`. All four count the rest of the
+space in closed form (see their section). Canonical representatives are
+words whose letters first appear in alphabetical order; predicates
+checked here are invariant under letter renaming, so skipping
+non-canonical words loses nothing.
 """
 
+import math
 import os
 
 NUMBA_ENABLED = os.environ.get("PWPOWERS_NO_NUMBA", "").strip().lower() not in ("1", "true", "yes")
@@ -96,15 +98,37 @@ def occurrence_scan(word, r):
 
 
 # ---------------------------------------------------------------------------
-# verifier kernels
+# verifier kernels (fine-wilf, theorem-sq, lemma-h1, corollary-full)
 #
-# Shared return convention: (status, checked, enumerated, ...). Status 0 =
-# claim holds on the whole space, 1 = counterexample found, 2 = budget
-# exhausted. `checked` counts canonical words actually tested, `enumerated`
-# counts every word the odometer produced (canonical or not); the budget
-# caps `enumerated`. The compiled fine-wilf odometer copies a counterexample
-# into the caller's `cex` buffer and returns its length; the start-bounded
-# kernels return it as a code tuple.
+# Shared return convention: (status, checked, enumerated, counterexample,
+# best, witness). Status 0 = claim holds on the whole space, 1 =
+# counterexample found, 2 = budget exhausted. The counts are those of an
+# odometer over every word of length 1..max_len over the symbols lo..k,
+# length first, then lexicographic (lo is 0 for partial words, whose hole is
+# symbol 0, and 1 for full words): `checked` counts the canonical words it
+# tests, `enumerated` every word it produces (canonical or not), and the
+# budget caps `enumerated`. The counterexample and the witness are code
+# tuples or None; best is the largest power count of a premise word before
+# the stop (0 for fine-wilf, which counts none), and witness the first word
+# attaining it.
+#
+# No odometer runs. Each claim is decided on a stream of its premise words,
+# the canonical words it constrains, in odometer order, and the counts are
+# computed in closed form: `enumerated` is the odometer position of the
+# counterexample, `checked` its rank among canonical words, and the budget
+# stops the run exactly where the odometer would have.
+#
+# fine-wilf constrains every full word. The other three claims constrain
+# only words whose r-th powers all start at one position. theorem-sq and
+# lemma-h1 say so of squares in partial words. corollary-full says a full
+# word's last power start never carries two occurrences: the suffix of a
+# counterexample from its last start is one too, so a shortest
+# counterexample has all its powers at position 1, and the first one in
+# odometer order is the first such word with two of them. Appending a symbol
+# never removes an occurrence, so that premise is closed under prefixes, and
+# every premise word lies in the tree of canonical words with at most one
+# start. Only that tree is walked, by the t=1 step of the search below
+# (`_append`, `_unmark`).
 # ---------------------------------------------------------------------------
 
 
@@ -131,82 +155,35 @@ def _budget_reach(symbols, max_len, budget):
     return length
 
 
-@compile_kernel
-def _next_full_word(w, k):
-    # advance the odometer over letters 1..k by one word of the same
-    # length; False, with w back at all 1s, after the last one
-    j = len(w) - 1
-    while j >= 0:
-        if w[j] < k:
-            w[j] += 1
-            return True
-        w[j] = 1
-        j -= 1
-    return False
+def _canonical_full_words(k, max_len):
+    # every canonical full word of length 1..max_len over the letters 1..k,
+    # in length-then-lex order, by a depth-first walk that extends only
+    # canonical prefixes (mu: the largest letter of the prefix)
+    def extend(prefix, mu, n):
+        if len(prefix) == n:
+            yield prefix
+        else:
+            for s in range(1, min(mu + 1, k) + 1):
+                yield from extend(prefix + (s,), max(mu, s), n)
 
-
-@compile_kernel
-def fine_wilf_kernel(k, max_len, budget, cex):
-    # full words; if p and q are both strong periods and the word is long
-    # enough (|w| >= p + q - gcd(p,q)), gcd(p,q) must be a strong period too
-    checked = 0
-    enumerated = 0
     for n in range(1, max_len + 1):
-        w = [1] * n
-        while True:
-            enumerated += 1
-            if enumerated > budget:
-                return 2, checked, enumerated, 0, 0, 0
-            if _is_canonical_codes(w):
-                checked += 1
-                mask = 0
-                for p in range(1, n + 1):
-                    periodic = True
-                    for i in range(n - p):
-                        if w[i] != w[i + p]:
-                            periodic = False
-                            break
-                    if periodic:
-                        mask |= 1 << (p - 1)
-                for p in range(1, n + 1):
-                    if mask & (1 << (p - 1)) == 0:
-                        continue
-                    for q in range(p, n + 1):
-                        if mask & (1 << (q - 1)) == 0:
-                            continue
-                        a = p
-                        b = q
-                        while b:
-                            a, b = b, a % b
-                        if n >= p + q - a and mask & (1 << (a - 1)) == 0:
-                            for i in range(n):
-                                cex[i] = w[i]
-                            return 1, checked, enumerated, n, p, q
-            if not _next_full_word(w, k):
-                break
-    return 0, checked, enumerated, 0, 0, 0
+        yield from extend((), 0, n)
 
 
-# ---------------------------------------------------------------------------
-# start-bounded verifiers (theorem-sq, lemma-h1, corollary-full)
-#
-# Each claim constrains only words whose r-th powers all start at one
-# position. theorem-sq and lemma-h1 say so of squares in partial words.
-# corollary-full says a full word's last power start never carries two
-# occurrences: the suffix of a counterexample from its last start is one
-# too, so a shortest counterexample has all its powers at position 1, and
-# the first one in odometer order is the first such word with two of them.
-# Appending a symbol never removes an occurrence, so that premise is closed
-# under prefixes, and every premise word lies in the tree of canonical words
-# with at most one start. Only that tree is walked, by the t=1 step of the
-# search below (`_append`, `_unmark`). The counts of the odometer order
-# (every word of length 1..max_len over the symbols lo..k, length first,
-# then lexicographic; lo is 0 for partial words, whose hole is symbol 0, and
-# 1 for full words) are computed in closed form instead, so the return
-# convention above holds unchanged: `enumerated` is the odometer position of
-# the counterexample, `checked` its rank among canonical words, and the
-# budget stops the run exactly where the odometer would have.
-# ---------------------------------------------------------------------------
+def _fine_wilf_refutation(codes):
+    # the first pair (p, q), p ascending, then q >= p ascending, of strong
+    # periods of the full word `codes` with |codes| >= p + q - gcd(p, q)
+    # whose gcd is not a period too, or None. A pair with q = p has gcd p,
+    # and so has one with q = |codes| that passes the length test (it asks
+    # gcd >= p), so only the periods p < q < |codes| need pairing.
+    n = len(codes)
+    periods = [p for p in range(1, n) if codes[p:] == codes[: n - p]]
+    for i, p in enumerate(periods):
+        for q in periods[i + 1 :]:
+            g = math.gcd(p, q)
+            if n >= p + q - g and g not in periods:
+                return p, q
+    return None
 
 
 def _start_bounded_words(r, k, lo, max_len):
@@ -289,10 +266,10 @@ def _canonical_rank(codes, f, lo):
     return rank + 1
 
 
-def _decide_start_bounded(r, k, lo, max_len, budget, violates):
-    # shared body of the three kernels below; returns (status, checked,
-    # enumerated, counterexample codes or None, best, witness codes or None),
-    # best being the largest power count of a premise word before the stop.
+def _decide_start_bounded(k, lo, max_len, budget, walk, violates):
+    # shared body of the four kernels below. walk(n) yields (codes, powers)
+    # for the premise words of length 1..n in odometer order, powers being
+    # the count that best tracks; violates(codes, powers) tests one of them.
     # A run stops at the first premise word past the budget, so the walk
     # never goes beyond the longest length whose first word the budget
     # reaches.
@@ -310,7 +287,7 @@ def _decide_start_bounded(r, k, lo, max_len, budget, violates):
         last = _position((k,) * walk_len, k, lo)
         rank_at = lambda position: _canonical_rank(_codes_at(position, k, lo), f, lo)
     best, witness = 0, None
-    for codes, powers in _start_bounded_words(r, k, lo, walk_len):
+    for codes, powers in walk(walk_len):
         position = _position(codes, k, lo)
         if position > budget:
             break
@@ -323,11 +300,22 @@ def _decide_start_bounded(r, k, lo, max_len, budget, violates):
     return 2, rank_at(budget) if budget >= 1 else 0, max(budget + 1, 1), None, best, witness
 
 
+def fine_wilf_kernel(k, max_len, budget):
+    # full words; if p and q are both strong periods and the word is long
+    # enough (|w| >= p + q - gcd(p,q)), gcd(p,q) must be a strong period too.
+    # Every canonical full word is a premise word, with no power count
+    return _decide_start_bounded(
+        k, 1, max_len, budget,
+        lambda n: ((codes, 0) for codes in _canonical_full_words(k, n)),
+        lambda codes, _: _fine_wilf_refutation(codes) is not None,
+    )
+
+
 def lemma_h1_kernel(k, max_len, budget):
     # words with two or more squares all starting at the same position must
     # have exactly one hole, located at position 1
     return _decide_start_bounded(
-        2, k, 0, max_len, budget,
+        k, 0, max_len, budget, lambda n: _start_bounded_words(2, k, 0, n),
         lambda codes, squares: squares > 1 and (codes[0] != 0 or codes.count(0) != 1),
     )
 
@@ -336,14 +324,18 @@ def theorem_sq_kernel(k, max_len, bound, budget):
     # words whose squares all start at one position carry at most `bound`
     # of them
     return _decide_start_bounded(
-        2, k, 0, max_len, budget, lambda codes, squares: squares > bound
+        k, 0, max_len, budget, lambda n: _start_bounded_words(2, k, 0, n),
+        lambda codes, squares: squares > bound,
     )
 
 
 def corollary_full_kernel(r, k, max_len, budget):
     # full words: a position starting two or more r-th power occurrences is
     # never the last start, so no word has two occurrences at a unique start
-    return _decide_start_bounded(r, k, 1, max_len, budget, lambda codes, powers: powers > 1)
+    return _decide_start_bounded(
+        k, 1, max_len, budget, lambda n: _start_bounded_words(r, k, 1, n),
+        lambda codes, powers: powers > 1,
+    )
 
 
 # ---------------------------------------------------------------------------

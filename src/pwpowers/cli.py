@@ -14,6 +14,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
+from . import search
 from .constructions import cube_examples, prop2_word, prop3_word, square_chain
 from .errors import PartialWordError, ResourceLimitError
 from .powers import power_profile
@@ -21,7 +22,6 @@ from .search import (
     DEFAULT_NODE_BUDGET,
     SearchQuery,
     lower_bound_table,
-    search_max_powers,
 )
 from .verify import (
     DEFAULT_CHECK_BUDGET,
@@ -391,7 +391,8 @@ def _run_search(args) -> int:
         max_start_positions=args.t,
         witness_cap=args.witness_cap,
     )
-    result = search_max_powers(query, budget=args.budget, jobs=args.jobs)
+    # through its module, where tracing wraps it, as lower_bound_table does
+    result = search.search_max_powers(query, budget=args.budget, jobs=args.jobs)
     if args.json:
         _print_json(result.to_json_dict())
     else:

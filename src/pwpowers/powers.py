@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Optional
 
 from . import _kernels
 from .errors import NotAPowerError
-from .words import Alphabet, PartialWord, format_word, is_strong_periodic
+from .words import Alphabet, PartialWord, _require_positive, format_word, is_strong_periodic
 
 DEFAULT_ROOT_CAP = 64
 
@@ -45,8 +45,7 @@ def enumerate_roots(w: PartialWord, r: int, cap: int = DEFAULT_ROOT_CAP):
     power.
     """
     _validate_exponent(r)
-    if not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    _require_positive("cap", cap)
     if not is_power(w, r):
         raise NotAPowerError(f"{format_word(w)!r} is not an {r}-th power")
     k = w.alphabet.size

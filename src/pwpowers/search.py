@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 from . import _kernels
 from .errors import ResourceLimitError
 from .powers import _validate_exponent
-from .words import Alphabet, PartialWord, format_word
+from .words import Alphabet, PartialWord, _require_positive, format_word
 
 DEFAULT_NODE_BUDGET = 10**9
 _PARTITION_DEPTH = 4
@@ -64,14 +64,9 @@ class SearchQuery:
     def __post_init__(self):
         _validate_exponent(self.exponent)
         Alphabet(self.alphabet_size)
-        if not isinstance(self.max_len, int) or self.max_len < 1:
-            raise ValueError(f"max_len must be a positive integer, got {self.max_len!r}")
-        if not isinstance(self.max_start_positions, int) or self.max_start_positions < 1:
-            raise ValueError(
-                f"max_start_positions must be a positive integer, got {self.max_start_positions!r}"
-            )
-        if not isinstance(self.witness_cap, int) or self.witness_cap < 1:
-            raise ValueError(f"witness_cap must be a positive integer, got {self.witness_cap!r}")
+        _require_positive("max_len", self.max_len)
+        _require_positive("max_start_positions", self.max_start_positions)
+        _require_positive("witness_cap", self.witness_cap)
 
 
 @dataclass(frozen=True)
@@ -143,10 +138,8 @@ def search_max_powers(
     When the node budget runs out the result still holds a valid lower
     bound, flagged exhaustive=False.
     """
-    if not isinstance(budget, int) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    _require_positive("budget", budget)
+    _require_positive("jobs", jobs)
     k, r, t, n = query.alphabet_size, query.exponent, query.max_start_positions, query.max_len
     wcap = query.witness_cap
     depth = min(n, _PARTITION_DEPTH)

@@ -4,13 +4,14 @@ word spaces.
 Each verifier covers every word up to a stated length (restricted to
 canonical representatives where the claim is invariant under letter
 renaming, which all of these are) and returns a VerificationReport.
-theorem-sq, lemma-h1 and corollary-full walk only the words whose powers
-start at one position at most, which their claims constrain (for
-corollary-full: its first counterexample, if any), and count the rest. A
-failing report always carries a concrete counterexample that can be
-re-checked through the public API. Enumerations are capped by a check
-budget; exceeding it raises ResourceLimitError rather than returning a
-verdict.
+fine-wilf, theorem-sq, lemma-h1 and corollary-full share one body: their
+kernels walk only the words the claim constrains (every canonical full
+word for fine-wilf; for the other three, those whose powers start at one
+position at most, which for corollary-full holds of its first
+counterexample, if any) and count the rest. A failing report always
+carries a concrete counterexample that can be re-checked through the
+public API. Enumerations are capped by a check budget; exceeding it raises
+ResourceLimitError rather than returning a verdict.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from . import _kernels
 from .constructions import cube_examples, prop2_word, prop3_word, square_chain
 from .errors import ResourceLimitError
 from .powers import _validate_exponent, power_occurrences, power_profile
-from .words import Alphabet, PartialWord, format_word
+from .words import Alphabet, PartialWord, _require_positive, format_word
 
 DEFAULT_CHECK_BUDGET = 10**8
-_MAX_FINE_WILF_LEN = 60  # period sets are kept as bit masks in an int64
+_MAX_FINE_WILF_LEN = 60  # the word stream nests a generator per symbol, far inside the recursion limit
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,6 @@ class VerificationReport:
         }
 
 
-def _require_positive(name: str, value) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _budget_error(claim: str, enumerated: int, budget: int) -> ResourceLimitError:
     return ResourceLimitError(
         f"{claim}: enumeration exceeded the check budget "
@@ -105,6 +101,25 @@ def _report(
     )
 
 
+def _verify_word_space(claim: str, parameters: dict, alphabet: Alphabet, budget: int, kernel,
+                       context, findings=lambda best, witness: {}) -> VerificationReport:
+    """Decide a claim on every word up to a length through kernel(), which
+    returns the `_kernels` verifier tuple (status, checked, enumerated,
+    counterexample, best, witness). A budget stop raises; a refuted word
+    gets context(word) as its counterexample context, and findings(best,
+    witness) follow the `wordsEnumerated` finding."""
+    t0 = time.perf_counter()
+    status, checked, enumerated, bad, best, witness = kernel()
+    if status == 2:
+        raise _budget_error(claim, enumerated, budget)
+    counterexample = None
+    if bad is not None:
+        word = PartialWord(bad, alphabet)
+        counterexample = Counterexample(word, context(word))
+    return _report(claim, parameters, checked, counterexample,
+                   {"wordsEnumerated": enumerated, **findings(best, witness)}, t0)
+
+
 def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
     """Every full word of length up to max_len over k letters that has
     strong periods p and q with |w| >= p + q - gcd(p, q) also has strong
@@ -113,20 +128,15 @@ def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -
     _require_positive("max_len", max_len)
     if max_len > _MAX_FINE_WILF_LEN:
         raise ValueError(f"max_len above {_MAX_FINE_WILF_LEN} is not supported")
-    t0 = time.perf_counter()
-    cex_buf = _kernels.new_buffer(max_len)
-    status, checked, enumerated, cex_len, p, q = _kernels.fine_wilf_kernel(
-        k, max_len, budget, cex_buf
+
+    def context(word):
+        p, q = _kernels._fine_wilf_refutation(word.codes.tolist())
+        return {"p": p, "q": q, "gcd": math.gcd(p, q)}
+
+    return _verify_word_space(
+        "fine-wilf", {"k": k, "maxLen": max_len}, alphabet, budget,
+        lambda: _kernels.fine_wilf_kernel(k, max_len, budget), context,
     )
-    if status == 2:
-        raise _budget_error("fine-wilf", enumerated, budget)
-    counterexample = None
-    if status == 1:
-        word = PartialWord(cex_buf[:cex_len], alphabet)
-        p, q = int(p), int(q)
-        counterexample = Counterexample(word, {"p": p, "q": q, "gcd": math.gcd(p, q)})
-    return _report("fine-wilf", {"k": k, "maxLen": max_len}, checked, counterexample,
-                   {"wordsEnumerated": int(enumerated)}, t0)
 
 
 def verify_corollary_full(r: int, k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
@@ -137,24 +147,16 @@ def verify_corollary_full(r: int, k: int, max_len: int, budget: int = DEFAULT_CH
     _validate_exponent(r)
     alphabet = Alphabet(k)
     _require_positive("max_len", max_len)
-    t0 = time.perf_counter()
-    status, checked, enumerated, bad, _, _ = _kernels.corollary_full_kernel(r, k, max_len, budget)
-    if status == 2:
-        raise _budget_error("corollary-full", enumerated, budget)
-    counterexample = None
-    if bad is not None:
-        word = PartialWord(bad, alphabet)
-        profile = power_profile(word, r)
-        last = max(o.start for o in profile.occurrences)
-        counterexample = Counterexample(
-            word,
-            {
-                "start": last,
-                "occurrencesAtStart": sum(1 for o in profile.occurrences if o.start == last),
-            },
-        )
-    return _report("corollary-full", {"r": r, "k": k, "maxLen": max_len}, checked,
-                   counterexample, {"wordsEnumerated": enumerated}, t0)
+
+    def context(word):
+        starts = [o.start for o in power_profile(word, r).occurrences]
+        last = max(starts)
+        return {"start": last, "occurrencesAtStart": starts.count(last)}
+
+    return _verify_word_space(
+        "corollary-full", {"r": r, "k": k, "maxLen": max_len}, alphabet, budget,
+        lambda: _kernels.corollary_full_kernel(r, k, max_len, budget), context,
+    )
 
 
 def verify_lemma_h1(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
@@ -162,24 +164,19 @@ def verify_lemma_h1(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) ->
     starting at the same position has exactly one hole, at position 1."""
     alphabet = Alphabet(k)
     _require_positive("max_len", max_len)
-    t0 = time.perf_counter()
-    status, checked, enumerated, bad, _, _ = _kernels.lemma_h1_kernel(k, max_len, budget)
-    if status == 2:
-        raise _budget_error("lemma-h1", enumerated, budget)
-    counterexample = None
-    if bad is not None:
-        word = PartialWord(bad, alphabet)
+
+    def context(word):
         profile = power_profile(word, 2)
-        counterexample = Counterexample(
-            word,
-            {
-                "squares": len(profile.occurrences),
-                "startPositions": list(profile.start_positions),
-                "holes": list(word.hole_positions()),
-            },
-        )
-    return _report("lemma-h1", {"k": k, "maxLen": max_len}, checked, counterexample,
-                   {"wordsEnumerated": enumerated}, t0)
+        return {
+            "squares": len(profile.occurrences),
+            "startPositions": list(profile.start_positions),
+            "holes": list(word.hole_positions()),
+        }
+
+    return _verify_word_space(
+        "lemma-h1", {"k": k, "maxLen": max_len}, alphabet, budget,
+        lambda: _kernels.lemma_h1_kernel(k, max_len, budget), context,
+    )
 
 
 def _verify_hole_prefix(claim: str, k: int, max_u_len: int, budget: int, refute) -> VerificationReport:
@@ -259,23 +256,19 @@ def verify_theorem_sq_bound(
     if bound is None:
         bound = k
     _require_positive("bound", bound)
-    t0 = time.perf_counter()
-    status, checked, enumerated, bad, best, witness = _kernels.theorem_sq_kernel(
-        k, max_len, bound, budget
+
+    def findings(best, witness):
+        found = {"maxSquares": best}
+        if witness is not None:
+            found["maxWitness"] = format_word(PartialWord(witness, alphabet))
+        return found
+
+    return _verify_word_space(
+        "theorem-sq", {"k": k, "maxLen": max_len, "bound": bound}, alphabet, budget,
+        lambda: _kernels.theorem_sq_kernel(k, max_len, bound, budget),
+        lambda word: {"squares": len(power_occurrences(word, 2)), "bound": bound},
+        findings,
     )
-    if status == 2:
-        raise _budget_error("theorem-sq", enumerated, budget)
-    counterexample = None
-    if bad is not None:
-        word = PartialWord(bad, alphabet)
-        counterexample = Counterexample(
-            word, {"squares": len(power_occurrences(word, 2)), "bound": bound}
-        )
-    findings: dict = {"wordsEnumerated": enumerated, "maxSquares": best}
-    if witness is not None:
-        findings["maxWitness"] = format_word(PartialWord(witness, alphabet))
-    return _report("theorem-sq", {"k": k, "maxLen": max_len, "bound": bound}, checked,
-                   counterexample, findings, t0)
 
 
 def verify_construction(name: str, k: Optional[int] = None, r: Optional[int] = None) -> VerificationReport:

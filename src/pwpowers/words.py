@@ -175,11 +175,15 @@ def join(u: PartialWord, v: PartialWord) -> PartialWord:
     return PartialWord(codes, alphabet)
 
 
+def _require_positive(name: str, value) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def is_strong_periodic(w: PartialWord, p: int) -> bool:
     """True when all defined positions in each residue class mod p carry the
     same letter (positions i, j with i ≡ j mod p, 1-indexed)."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"period must be a positive integer, got {p!r}")
+    _require_positive("period", p)
     codes = w._codes
     for c in range(min(p, len(codes))):
         if len(set(codes[c::p]).difference((0,))) > 1:

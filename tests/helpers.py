@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -153,6 +154,32 @@ def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = No
         if starts == 1 and powers > best:
             best, witness = powers, codes
     return 0, checked, enumerated, None, best, witness
+
+
+def fine_wilf_reference(k: int, max_len: int, budget: int):
+    """Reference for the fine-wilf kernel: walk every full word of length
+    1..max_len over k letters in length-then-lex order, count each word
+    produced against the budget before looking at it, and test the
+    canonical ones on every pair p <= q of their strong periods, from the
+    defining quantifier. Returns the kernel's tuple (status, checked,
+    enumerated, counterexample, 0, None); full words track no power count.
+    """
+    checked = enumerated = 0
+    for codes in all_code_tuples(max_len, k, holes=False):
+        if not codes:
+            continue
+        enumerated += 1
+        if enumerated > budget:
+            return 2, checked, enumerated, None, 0, None
+        if not is_canonical_codes(codes):
+            continue
+        checked += 1
+        periods = brute_strong_periods(codes)
+        for p, q in itertools.combinations_with_replacement(periods, 2):
+            g = math.gcd(p, q)
+            if len(codes) >= p + q - g and g not in periods:
+                return 1, checked, enumerated, codes, 0, None
+    return 0, checked, enumerated, None, 0, None
 
 
 def expected_verify_report(k: int, max_len: int, budget: int, bound: int | None = None):

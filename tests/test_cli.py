@@ -204,8 +204,10 @@ class TestVerify:
 
 
 # every verify claim's pass case, the refuted --bound 1 probe, one budget
-# stop per claim and a validation error, each in text and --json, as the
-# CLI printed them with the wall-clock fields masked
+# stop per claim and a validation error, plus fine-wilf over one letter at
+# the largest length, over three letters, under a negative budget and past
+# the largest length, each in text and --json, as the CLI printed them with
+# the wall-clock fields masked
 VERIFY_GOLDEN = json.loads(
     (Path(__file__).parent / "verify_cli_golden.json").read_text(encoding="utf-8")
 )

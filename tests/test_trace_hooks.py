@@ -55,6 +55,16 @@ def test_notes_read_real_calls(trace):
             assert all(span[4] is not None for span in called), name
 
 
+def test_plain_search_is_traced(trace):
+    # cli calls search_max_powers through its module, where the tracer
+    # patches it, so plain `search` records the span and its nodes
+    argv = ["search", "--r", "3", "--k", "2", "--max-len", "8"]
+    (_, rc, out), spans = trace.traced_call(pwpowers, SimpleNamespace(argv=argv, stdin=None))
+    assert rc == 0
+    assert [span[0] for span in spans].count("search.search_max_powers") == 1
+    assert trace.layer_metrics(spans, out)["search.nodes"] > 0
+
+
 def _spy(monkeypatch, name):
     # record what the named kernel returns, as trace.py's wrappers see it
     calls = []

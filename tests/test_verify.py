@@ -12,6 +12,7 @@ from helpers import (
     all_code_tuples,
     brute_occurrences,
     expected_verify_report,
+    fine_wilf_reference,
     is_canonical_codes,
     odometer_reference,
 )
@@ -181,10 +182,18 @@ def _report_or_error(verifier, *args, **kwargs):
 
 
 class TestOdometerReferenceGrid:
-    """The start-bounded kernels against the odometer reference: their full
+    """The verifier kernels against the odometer references: their full
     return tuples (including the counts at a budget stop) and, for
     theorem-sq and lemma-h1, the full reports or budget error texts, on
     pass, fail and budget-exceeded cases."""
+
+    @pytest.mark.parametrize("k", sorted(FULL_GRID_LENGTHS))
+    def test_fine_wilf(self, k):
+        for n in range(1, FULL_GRID_LENGTHS[k] + 1):
+            for budget in GRID_BUDGETS:
+                assert _kernels.fine_wilf_kernel(k, n, budget) == (
+                    fine_wilf_reference(k, n, budget)
+                ), (n, budget)
 
     @pytest.mark.parametrize("k", sorted(GRID_LENGTHS))
     def test_theorem_sq(self, k):
@@ -269,18 +278,20 @@ class TestFailureBranches:
     and pins the report the verifier builds from it."""
 
     def test_fine_wilf(self, monkeypatch):
-        def kernel(k, max_len, budget, cex):
-            cex[:4] = (1, 2, 1, 2)
-            return 1, 7, 9, 4, 2, 4
-
-        monkeypatch.setattr(_kernels, "fine_wilf_kernel", kernel)
+        # the real walk over full words, refuting `abab` on its periods 2
+        # and 4 (odometer position 20, the 13th canonical word)
+        refutation = _kernels._fine_wilf_refutation
+        monkeypatch.setattr(
+            _kernels, "_fine_wilf_refutation",
+            lambda codes: (2, 4) if tuple(codes) == (1, 2, 1, 2) else refutation(codes),
+        )
         assert _doc(verify_fine_wilf(2, 6)) == {
             "claim": "fine-wilf",
             "parameters": {"k": 2, "maxLen": 6},
-            "instancesChecked": 7,
+            "instancesChecked": 13,
             "outcome": "fail",
             "counterexample": {"word": "abab", "context": {"p": 2, "q": 4, "gcd": 2}},
-            "findings": {"wordsEnumerated": 9},
+            "findings": {"wordsEnumerated": 20},
         }
 
     def test_corollary_full(self, monkeypatch):
@@ -289,8 +300,8 @@ class TestFailureBranches:
         decide = _kernels._decide_start_bounded
         monkeypatch.setattr(
             _kernels, "_decide_start_bounded",
-            lambda r, k, lo, max_len, budget, violates: decide(
-                r, k, lo, max_len, budget, lambda codes, powers: codes == (1, 2, 2, 1)
+            lambda k, lo, max_len, budget, walk, violates: decide(
+                k, lo, max_len, budget, walk, lambda codes, powers: codes == (1, 2, 2, 1)
             ),
         )
         assert _doc(verify_corollary_full(2, 2, 6)) == {
@@ -310,8 +321,8 @@ class TestFailureBranches:
         decide = _kernels._decide_start_bounded
         monkeypatch.setattr(
             _kernels, "_decide_start_bounded",
-            lambda r, k, lo, max_len, budget, violates: decide(
-                r, k, lo, max_len, budget, lambda codes, squares: codes == (1, 1)
+            lambda k, lo, max_len, budget, walk, violates: decide(
+                k, lo, max_len, budget, walk, lambda codes, squares: codes == (1, 1)
             ),
         )
         assert _doc(verify_lemma_h1(2, 4)) == {
