@@ -3,17 +3,18 @@
 Every @compile_kernel function is plain Python, compiled by one rule (numba
 njit, cached) when numba is importable and the PWPOWERS_NO_NUMBA
 environment variable is unset. Without numba the same functions run
-interpreted: identical results, much slower, and numpy is never imported.
-No kernel has to release the interpreter lock, as `search --jobs` runs
-partitions in worker processes. Symbol encoding throughout: 0 is the hole,
-1..k are letters. Positions inside kernels are 0-indexed; the public
-wrappers shift to the 1-indexed convention.
+interpreted: identical results, much slower. No kernel has to release the
+interpreter lock, as `search --jobs` runs partitions in worker processes.
+Symbol encoding throughout: 0 is the hole, 1..k are letters. Positions
+inside kernels are 0-indexed; the public wrappers shift to the 1-indexed
+convention.
 
-Kernels use only what both backends accept: `len(a)`, `a[i]` and
-`a[i][j]` on their arguments, and lists built inside the function. The
-scan reads a word through the read-only byte view `PartialWord.codes`; the
-buffers a caller hands a kernel come from `new_buffer`, which makes lists
-when interpreted and numpy arrays for the compiled kernels.
+Kernels use only what both backends accept. Their arguments are ints and
+read-only byte views (`PartialWord.codes`, `bytes`), read with `len(a)`
+and `a[i]`; everything else is a list built inside the kernel, handed to
+its helpers or returned. A kernel makes the first insert into each list it
+builds itself, as numba types an empty list from that insert. So callers
+allocate nothing for a kernel.
 
 Both occurrence scans, `occurrence_scan` and the per-append scan inside
 `search_kernel`, use one rule. A break pair for root length p is two
@@ -46,22 +47,10 @@ NUMBA_ENABLED = os.environ.get("PWPOWERS_NO_NUMBA", "").strip().lower() not in (
 if NUMBA_ENABLED:
     try:
         import numba
-        import numpy as np
     except ImportError:
         NUMBA_ENABLED = False
 
 compile_kernel = numba.njit(cache=True) if NUMBA_ENABLED else (lambda func: func)
-
-
-def new_buffer(rows, cols=None):
-    """A zeroed integer buffer for a kernel to fill: `rows` entries, or
-    `rows` rows of `cols` entries each. Lists when interpreted; a numpy
-    array when the kernels are compiled."""
-    if NUMBA_ENABLED:
-        return np.zeros(rows if cols is None else (rows, cols), np.int64)
-    if cols is None:
-        return [0] * rows
-    return [[0] * cols for _ in range(rows)]
 
 
 @compile_kernel
@@ -130,18 +119,6 @@ def occurrence_scan(word, r):
 # start. Only that tree is walked, by the t=1 step of the search below
 # (`_append`, `_unmark`).
 # ---------------------------------------------------------------------------
-
-
-@compile_kernel
-def _is_canonical_codes(w):
-    mu = 0
-    for i in range(len(w)):
-        s = w[i]
-        if s > mu + 1:
-            return False
-        if s == mu + 1:
-            mu = s
-    return True
 
 
 def _budget_reach(symbols, max_len, budget):
@@ -344,39 +321,32 @@ def corollary_full_kernel(r, k, max_len, budget):
 
 
 @compile_kernel
-def _word_less_than_row(word, m, wit_buf, wit_lens, j):
-    # (length, lex) order; symbol codes already sort hole < a < b < ...
-    jl = wit_lens[j]
-    if m != jl:
-        return m < jl
+def _less_than(word, m, row):
+    # word[:m] before row in (length, lex) order; symbol codes already sort
+    # hole < a < b < ...
+    if m != len(row):
+        return m < len(row)
     for i in range(m):
-        if word[i] != wit_buf[j][i]:
-            return word[i] < wit_buf[j][i]
+        if word[i] != row[i]:
+            return word[i] < row[i]
     return False
 
 
 @compile_kernel
-def _insert_witness(word, m, wit_buf, wit_lens, n_wit, wcap):
-    # rows are sorted, so a full list takes nothing at or past its last row
-    if n_wit == wcap and not _word_less_than_row(word, m, wit_buf, wit_lens, wcap - 1):
-        return n_wit
+def _insert_witness(witnesses, word, m, wcap):
+    # witnesses are sorted, so a full list takes nothing at or past its
+    # last row; one that takes word[:m] drops its last row
+    n_wit = len(witnesses)
+    if n_wit == wcap and not _less_than(word, m, witnesses[n_wit - 1]):
+        return
     pos = n_wit
     for j in range(n_wit):
-        if _word_less_than_row(word, m, wit_buf, wit_lens, j):
+        if _less_than(word, m, witnesses[j]):
             pos = j
             break
-    if pos >= wcap:
-        return n_wit
-    j = n_wit if n_wit < wcap else wcap - 1
-    while j > pos:
-        wit_lens[j] = wit_lens[j - 1]
-        for i in range(wit_lens[j]):
-            wit_buf[j][i] = wit_buf[j - 1][i]
-        j -= 1
-    wit_lens[pos] = m
-    for i in range(m):
-        wit_buf[pos][i] = word[i]
-    return n_wit + 1 if n_wit < wcap else wcap
+    witnesses.insert(pos, word[:m])
+    if n_wit == wcap:
+        witnesses.pop()
 
 
 @compile_kernel
@@ -426,20 +396,21 @@ def _unmark(marked_at, m, r):
 
 
 @compile_kernel
-def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens, frontier):
-    """Depth-first search over canonical extensions of `prefix`.
+def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
+    """Depth-first search over canonical extensions of `prefix` (bytes).
 
     Scores every strict extension (the prefix node itself belongs to the
     caller), maintaining occurrence and start-position counts incrementally
     and cutting any branch whose distinct power starts already exceed t
     (appending symbols never removes an occurrence, so the cut is sound).
-    Qualifying nodes of length max_len are copied, in visiting (lex) order,
-    into the rows of `frontier` while rows remain; the search's prefix
-    survey reads its partitions from there, and partition calls pass a
-    buffer with zero rows.
-    Returns (status, nodes, pruned_symmetry, pruned_start_bound, best, n_wit,
-    n_frontier) where status 0 means the subtree was exhausted and 2 means
-    the node budget ran out. best is -1 when no extension qualified.
+    Returns (status, nodes, pruned_symmetry, pruned_start_bound, best,
+    witnesses, frontier) where status 0 means the subtree was exhausted and
+    2 means the node budget ran out. best is -1 when no extension
+    qualified; witnesses are the first wcap qualifying nodes scoring best,
+    in (length, lex) order, as code lists. When `survey` is set, frontier
+    lists the qualifying nodes of length max_len in visiting (lex) order,
+    from which the search's prefix survey reads its partitions; otherwise
+    it is empty.
     """
     n = max_len
     pmax = n // r
@@ -456,7 +427,7 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
     base = [0]
 
     for m in range(1, d0 + 1):
-        s = int(prefix[m - 1])
+        s = prefix[m - 1]
         w[m - 1] = s
         max_used[m] = s if s > max_used[m - 1] else max_used[m - 1]
         added, new_starts = _append(w, m, r, pmax, bar, base, marked_at)
@@ -464,9 +435,8 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
         nstarts[m] = nstarts[m - 1] + new_starts
 
     best = -1
-    n_wit = 0
-    front_rows = len(frontier)
-    n_front = 0
+    witnesses = []
+    frontier = []
     nodes = 0
     pruned_sym = 0
     pruned_start = 0
@@ -508,20 +478,18 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
                     c = occ[m]
                     if c > best:
                         best = c
-                        n_wit = 0
-                        n_wit = _insert_witness(w, m, wit_buf, wit_lens, n_wit, wcap)
+                        witnesses.clear()
+                        witnesses.append(w[:m])
                     elif c == best:
-                        n_wit = _insert_witness(w, m, wit_buf, wit_lens, n_wit, wcap)
+                        _insert_witness(witnesses, w, m, wcap)
                     if m < n:
                         if mu < k:
                             pruned_sym += k - mu - 1
                         d = m
                         trial[d] = 0
                     else:
-                        if n_front < front_rows:
-                            for i in range(m):
-                                frontier[n_front][i] = w[i]
-                            n_front += 1
+                        if survey:
+                            frontier.append(w[:m])
                         if new_starts:
                             _unmark(marked_at, m, r)
                         trial[d] += 1
@@ -532,4 +500,4 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, wit_buf, wit_lens
                 _unmark(marked_at, d, r)
             d -= 1
             trial[d] += 1
-    return status, nodes, pruned_sym, pruned_start, best, n_wit, n_front
+    return status, nodes, pruned_sym, pruned_start, best, witnesses, frontier

@@ -47,7 +47,12 @@ def canonicalize(w: PartialWord) -> PartialWord:
 def is_canonical(w: PartialWord) -> bool:
     """True when each letter's first occurrence index is at most one above
     the largest index used so far."""
-    return bool(_kernels._is_canonical_codes(w.codes))
+    mu = 0  # the largest letter index so far
+    for c in w.codes:
+        if c > mu + 1:
+            return False
+        mu = max(mu, c)
+    return True
 
 
 @dataclass(frozen=True)
@@ -93,37 +98,26 @@ def _survey_prefixes(q: SearchQuery, depth: int, budget: int):
     """Search the canonical tree from the empty word down to `depth` symbols
     with one kernel call.
 
-    Returns (result, wit_buf, wit_lens, partitions): result is the kernel's
-    (status, nodes, pruned_sym, pruned_start, best, n_wit) with the empty
-    word counted as a node, and partitions are the qualifying nodes of
-    length exactly `depth`, in lex order, whose subtrees remain.
+    Returns (result, partitions): result is the kernel's (status, nodes,
+    pruned_sym, pruned_start, best, witnesses) with the empty word counted
+    as a node, and partitions are the qualifying nodes of length exactly
+    `depth`, in lex order, whose subtrees remain.
     """
-    k, wcap = q.alphabet_size, q.witness_cap
-    wit_buf = _kernels.new_buffer(wcap, depth)
-    wit_lens = _kernels.new_buffer(wcap)
-    frontier = _kernels.new_buffer(_kernels._canonical_table(k, depth, 0)[depth][0], depth)
     # the empty word is the survey's first node, so the kernel gets one less
-    status, nodes, pruned_sym, pruned_start, best, n_wit, n_front = _kernels.search_kernel(
-        _kernels.new_buffer(0), depth, k, q.exponent, q.max_start_positions,
-        budget - 1, wcap, wit_buf, wit_lens, frontier,
+    status, nodes, pruned_sym, pruned_start, best, witnesses, frontier = _kernels.search_kernel(
+        b"", depth, q.alphabet_size, q.exponent, q.max_start_positions,
+        budget - 1, q.witness_cap, True,
     )
-    result = (status, nodes + 1, pruned_sym, pruned_start, best, n_wit)
-    partitions = [tuple(row) for row in frontier[:n_front]]
-    return result, wit_buf, wit_lens, partitions
+    result = (status, nodes + 1, pruned_sym, pruned_start, best, witnesses)
+    return result, [tuple(row) for row in frontier]
 
 
 def _run_partition(task):
     """Search below one partition prefix; task is the plain tuple (prefix,
-    max_len, k, r, t, quota, witness_cap). Returns (result, wit_buf, wit_lens)."""
+    max_len, k, r, t, quota, witness_cap). Returns the kernel's (status,
+    nodes, pruned_sym, pruned_start, best, witnesses)."""
     prefix, n, k, r, t, quota, wcap = task
-    # a witness is no deeper than the deepest node the quota reaches
-    wit_buf = _kernels.new_buffer(wcap, min(n, len(prefix) + quota + 1))
-    wit_lens = _kernels.new_buffer(wcap)
-    word = _kernels.new_buffer(len(prefix))
-    word[:] = prefix
-    res = _kernels.search_kernel(word, n, k, r, t, quota, wcap,
-                                 wit_buf, wit_lens, _kernels.new_buffer(0, n))
-    return res[:6], wit_buf, wit_lens
+    return _kernels.search_kernel(bytes(prefix), n, k, r, t, quota, wcap, False)[:6]
 
 
 def search_max_powers(
@@ -144,9 +138,9 @@ def search_max_powers(
     wcap = query.witness_cap
     depth = min(n, _PARTITION_DEPTH)
 
-    survey, survey_buf, survey_lens, partitions = _survey_prefixes(query, depth, budget)
+    survey, partitions = _survey_prefixes(query, depth, budget)
 
-    results = [(survey, survey_buf, survey_lens)]
+    results = [survey]
     if survey[0] == 0 and partitions:
         remaining = budget - survey[1]
         count = len(partitions)
@@ -169,19 +163,18 @@ def search_max_powers(
                 raise ResourceLimitError(f"a search worker process died: {exc}") from exc
 
     # the empty word scores 0 and is no kernel's node
-    best = max(0, *(int(res[4]) for res, _, _ in results))
+    best = max(0, *(res[4] for res in results))
     witness_codes = {()} if best == 0 else set()
     nodes = pruned_sym = pruned_start = 0
     exhaustive = True
-    for (status, p_nodes, p_sym, p_start, p_best, n_wit), wit_buf, wit_lens in results:
-        nodes += int(p_nodes)
-        pruned_sym += int(p_sym)
-        pruned_start += int(p_start)
+    for status, p_nodes, p_sym, p_start, p_best, p_witnesses in results:
+        nodes += p_nodes
+        pruned_sym += p_sym
+        pruned_start += p_start
         if status != 0:
             exhaustive = False
         if p_best == best:
-            for j in range(int(n_wit)):
-                witness_codes.add(tuple(wit_buf[j][: wit_lens[j]]))
+            witness_codes.update(map(tuple, p_witnesses))
     ordered = sorted(witness_codes, key=lambda c: (len(c), c))[:wcap]
     alphabet = Alphabet(k)
     witnesses = tuple(PartialWord(c, alphabet) for c in ordered)

@@ -275,7 +275,8 @@ def verify_construction(name: str, k: Optional[int] = None, r: Optional[int] = N
     """Re-check a construction's claimed occurrence profile by direct scan.
 
     Names: square-chain (needs k >= 0), prop2 (needs r >= 2), prop3 (needs
-    r an odd multiple of 3), cube-examples (no parameters).
+    r an odd multiple of 3), cube-examples (no parameters). A parameter the
+    named construction does not take is a ValueError.
     """
     t0 = time.perf_counter()
     if name == "square-chain":
@@ -298,6 +299,9 @@ def verify_construction(name: str, k: Optional[int] = None, r: Optional[int] = N
         parameters = {"name": name}
     else:
         raise ValueError(f"unknown construction {name!r}")
+    for param, value in (("k", k), ("r", r)):
+        if value is not None and param not in parameters:
+            raise ValueError(f"{name} takes no parameter {param}")
 
     for checked, (w, rr, expected) in enumerate(targets, start=1):
         profile = power_profile(w, rr)

@@ -2,8 +2,8 @@
 
 Each test is one shipping criterion; it prints a single PASS/FAIL line with
 the measured values (visible even under pytest capture) and then asserts.
-Wall-clock budgets are calibrated for the compiled kernels; the interpreted
-fallback is held to the same outputs but only loosely to the clock.
+Every test also asserts its wall-clock budget, on either backend: the
+budgets are loose enough for the interpreted fallback.
 """
 
 import json
@@ -40,8 +40,6 @@ from helpers import (
     occurrence_scan_by_roots,
 )
 
-_TIME_BUDGETS_APPLY = _kernels.NUMBA_ENABLED
-
 
 @pytest.fixture
 def report(capsys):
@@ -53,8 +51,7 @@ def report(capsys):
         with capsys.disabled():
             print(line)
         assert ok, line
-        if _TIME_BUDGETS_APPLY:
-            assert elapsed <= budget, line
+        assert elapsed <= budget, line
 
     return _report
 

@@ -202,6 +202,12 @@ class TestVerify:
         res = run_cli("verify", "construction", "--name", "prop2")
         assert res.returncode == 2  # --r is required for this family
 
+    def test_construction_rejects_unused_parameter(self):
+        res = run_cli("verify", "construction", "--name", "prop3", "--r", "9", "--k", "5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "prop3 takes no parameter k" in res.stderr
+
 
 # every verify claim's pass case, the refuted --bound 1 probe, one budget
 # stop per claim and a validation error, plus fine-wilf over one letter at
@@ -378,8 +384,9 @@ def test_cli_import_loads_no_pool():
 
 
 def test_interpreted_cli_loads_no_numpy():
-    # only the compiled kernels take numpy arrays; importing numpy would cost
-    # most of an interpreted command's start-up
+    # the package never imports numpy (numba brings it along when
+    # installed); importing it would cost most of an interpreted command's
+    # start-up
     code = (
         "import contextlib, io, sys\n"
         "import pwpowers.cli as cli\n"

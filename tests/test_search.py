@@ -203,7 +203,7 @@ class TestDeterminismAndBudget:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
         query = _query(3, 2, 9)
-        partitions = _survey_prefixes(query, 4, 10**9)[3]
+        partitions = _survey_prefixes(query, 4, 10**9)[1]
         assert search_max_powers(query, jobs=10**6) == search_max_powers(query, jobs=1)
         assert sizes == [len(partitions)]
 
@@ -228,24 +228,34 @@ class TestSurvey:
         # a node is explored when its parent has at most t starts (starts
         # only grow by appending, so then every ancestor has too), and the
         # explored nodes of full depth with at most t starts are the
-        # partitions, in lex order
+        # partitions, in lex order. The kernel's own best and witnesses,
+        # before any merge, are over the explored nodes with at most t
+        # starts: the largest count, and the first `cap` nodes attaining
+        # it in (length, lex) order
         for k in (1, 2, 3):
-            starts = {
-                codes: len({s for s, _ in brute_occurrences(codes, k, r)})
+            occurrences = {
+                codes: brute_occurrences(codes, k, r)
                 for codes in all_code_tuples(4, k)
                 if is_canonical_codes(codes)
             }
+            starts = {c: len({s for s, _ in occ}) for c, occ in occurrences.items()}
             for t in (1, 2):
                 for depth in (1, 2, 3, 4):
                     explored = [c for c in starts if 1 <= len(c) <= depth and starts[c[:-1]] <= t]
                     pruned = [c for c in explored if starts[c] > t]
-                    frontier = sorted(c for c in explored if len(c) == depth and starts[c] <= t)
-                    res, _, _, partitions = _survey_prefixes(_query(r, k, 9, t), depth, 10**9)
-                    case = (r, k, t, depth)
-                    assert partitions == frontier, case
-                    assert res[0] == 0, case
-                    assert res[1] == 1 + len(explored), case
-                    assert res[3] == len(pruned), case
+                    scored = [c for c in explored if starts[c] <= t]  # (length, lex) order
+                    frontier = sorted(c for c in scored if len(c) == depth)
+                    best = max(len(occurrences[c]) for c in scored)
+                    ties = [c for c in scored if len(occurrences[c]) == best]
+                    for cap in (1, 3, 16):
+                        res, partitions = _survey_prefixes(_query(r, k, 9, t, cap), depth, 10**9)
+                        case = (r, k, t, depth, cap)
+                        assert partitions == frontier, case
+                        assert res[0] == 0, case
+                        assert res[1] == 1 + len(explored), case
+                        assert res[3] == len(pruned), case
+                        assert res[4] == best, case
+                        assert [tuple(c) for c in res[5]] == ties[:cap], case
 
 
 class TestKnownBoundsAndTable:

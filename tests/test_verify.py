@@ -386,6 +386,12 @@ class TestConstructionReports:
             verify_construction("nonsense")
         with pytest.raises(ValueError):
             verify_construction("prop2")  # r missing
+        with pytest.raises(ValueError, match="cube-examples takes no parameter k"):
+            verify_construction("cube-examples", k=3)
+        with pytest.raises(ValueError, match="square-chain takes no parameter r"):
+            verify_construction("square-chain", k=2, r=2)
+        with pytest.raises(ValueError, match="prop3 takes no parameter k"):
+            verify_construction("prop3", k=5, r=9)
 
 
 class TestReportShape:
