@@ -22,7 +22,12 @@ consecutive defined symbols of one residue class mod p that disagree, and a
 window of length r*p is an r-th power iff it contains no break pair. The
 scan sweeps starts right to left, keeping for each p the nearest break pair
 to the right; the search keeps, per depth, the rightmost one to the left.
-Either way the cost per window is O(1) plus a walk over holes. Both kernels
+Either way the cost per window is O(1) plus a walk over holes. The search
+scores the leaves, the children of a node one symbol short of the maximum
+length, all in one pass over p from their parent's barrier row: a window
+that no break pair of the parent crosses is closed by the hole and by every
+letter, or only by the hole and one letter, the nearest one of its class
+inside the window. Both kernels
 copy their input into plain int lists built inside the function:
 interpreted, list indexing is cheaper than indexing a byte view, and numba
 compiles such lists too. The independent check of both, by explicit root
@@ -321,35 +326,6 @@ def corollary_full_kernel(r, k, max_len, budget):
 
 
 @compile_kernel
-def _less_than(word, m, row):
-    # word[:m] before row in (length, lex) order; symbol codes already sort
-    # hole < a < b < ...
-    if m != len(row):
-        return m < len(row)
-    for i in range(m):
-        if word[i] != row[i]:
-            return word[i] < row[i]
-    return False
-
-
-@compile_kernel
-def _insert_witness(witnesses, word, m, wcap):
-    # witnesses are sorted, so a full list takes nothing at or past its
-    # last row; one that takes word[:m] drops its last row
-    n_wit = len(witnesses)
-    if n_wit == wcap and not _less_than(word, m, witnesses[n_wit - 1]):
-        return
-    pos = n_wit
-    for j in range(n_wit):
-        if _less_than(word, m, witnesses[j]):
-            pos = j
-            break
-    witnesses.insert(pos, word[:m])
-    if n_wit == wcap:
-        witnesses.pop()
-
-
-@compile_kernel
 def _append(w, m, r, pmax, bar, base, marked_at):
     # score w[m-1], just written: extend the barrier to row m and mark the
     # starts of the new occurrences (windows ending at m) with depth m.
@@ -411,6 +387,15 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
     lists the qualifying nodes of length max_len in visiting (lex) order,
     from which the search's prefix survey reads its partitions; otherwise
     it is empty.
+
+    Nodes are visited depth first, children in symbol order, so nodes of
+    one length arrive in lex order: a node tying best goes just before the
+    first witness longer than it, and a leaf only ever goes last. The
+    children of a node at depth max_len - 1 are leaves. They are scored
+    together in one pass, with no barrier row and no start marks, and then
+    counted, cut or kept one by one as any node is; when the budget cannot
+    pay for all of them they go node by node, so a run stops on the budget
+    at the same node either way.
     """
     n = max_len
     pmax = n // r
@@ -441,6 +426,10 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
     pruned_sym = 0
     pruned_start = 0
     status = 0
+    # per symbol a: the windows ending at n that a leaf ending in a closes
+    # and some other leaf does not, and how many of their starts are new
+    occ_by = [0] * (k + 1)
+    new_by = [0] * (k + 1)
 
     if d0 < n:
         # the prefix's own children are enumerated here, so the letters its
@@ -455,7 +444,56 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
         if d < n:
             s = trial[d]
             mu = max_used[d]
-            if s <= mu + 1 and s <= k:
+            top = mu + 1 if mu < k else k
+            if d == n - 1 and s == 0 and node_budget - nodes > top:
+                # all children of w[:d] are leaves: score them in one pass
+                # over p, by _append's rule, with no barrier row and no
+                # marks. Window (i, r*p) ending at n is a power of a child
+                # iff w[:d] has no break pair in it (bar < i) and the last
+                # symbol makes none with the nearest letter w[j], j >= i, of
+                # its class. With no such letter every child closes it,
+                # otherwise only the hole and the letter w[j] do
+                row = base[d]
+                occ_all = new_all = 0
+                for p in range(1, pmax + 1):
+                    i = n - r * p
+                    if bar[row + p] < i:
+                        fresh = 1 if marked_at[i] == 0 else 0
+                        j = d - p
+                        while j >= i and w[j] == 0:
+                            j -= p
+                        if j < i:
+                            occ_all += 1
+                            new_all += fresh
+                        else:
+                            occ_by[0] += 1
+                            new_by[0] += fresh
+                            occ_by[w[j]] += 1
+                            new_by[w[j]] += fresh
+                # each child is handled as the per-node path below handles a
+                # leaf. w[:d] holds only letters up to mu <= top, so the loop
+                # clears every per-symbol count it filled
+                for s in range(top + 1):
+                    added = occ_all + occ_by[s]
+                    new_starts = new_all + new_by[s]
+                    occ_by[s] = 0
+                    new_by[s] = 0
+                    nodes += 1
+                    if nstarts[d] + new_starts > t:
+                        pruned_start += 1
+                    else:
+                        w[d] = s
+                        c = occ[d] + added
+                        if c > best:
+                            best = c
+                            witnesses.clear()
+                            witnesses.append(w[:n])
+                        elif c == best and len(witnesses) < wcap:
+                            witnesses.append(w[:n])
+                        if survey:
+                            frontier.append(w[:n])
+                # advanced stays False: w[:d] is exhausted
+            elif s <= top:
                 advanced = True
                 if nodes >= node_budget:
                     status = 2
@@ -481,7 +519,15 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
                         witnesses.clear()
                         witnesses.append(w[:m])
                     elif c == best:
-                        _insert_witness(witnesses, w, m, wcap)
+                        # nodes of one length arrive in lex order, so w[:m]
+                        # goes before the first witness longer than m
+                        pos = len(witnesses)
+                        if pos < wcap or len(witnesses[pos - 1]) > m:
+                            while pos > 0 and len(witnesses[pos - 1]) > m:
+                                pos -= 1
+                            witnesses.insert(pos, w[:m])
+                            if len(witnesses) > wcap:
+                                witnesses.pop()
                     if m < n:
                         if mu < k:
                             pruned_sym += k - mu - 1

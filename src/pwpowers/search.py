@@ -11,7 +11,8 @@ prunings.
 Every node is scored by one engine, `_kernels.search_kernel`. A first call
 searches from the empty word down to a fixed prefix depth and lists the
 qualifying nodes of that depth; the subtrees below them are the partitions,
-one kernel call each, run in worker processes under --jobs. Per-partition
+one kernel call each, run in worker processes under --jobs (a table runs
+every cell's partitions through one process pool). Per-partition
 node budgets are fixed up front and results are collected in partition
 order, so output is byte-identical for any choice of --jobs: the workers
 only change who executes which subtree, never what is explored.
@@ -19,6 +20,7 @@ only change who executes which subtree, never what is explored.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -124,13 +126,16 @@ def search_max_powers(
     query: SearchQuery,
     budget: int = DEFAULT_NODE_BUDGET,
     jobs: int = 1,
+    *,
+    _pool=None,
 ) -> SearchResult:
     """Maximize r-th power occurrences over words of length <= max_len with
     at most t distinct occurrence starts; ties among witnesses are resolved
     by shortest-then-lexicographic order and capped at witness_cap.
 
     When the node budget runs out the result still holds a valid lower
-    bound, flagged exhaustive=False.
+    bound, flagged exhaustive=False. `_pool` is for lower_bound_table: an
+    open process pool that runs the partitions instead of one opened here.
     """
     _require_positive("budget", budget)
     _require_positive("jobs", jobs)
@@ -156,9 +161,12 @@ def search_max_powers(
             from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
             try:
-                # a fork-context pool starts all its workers at once
-                with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
-                    results += pool.map(_run_partition, tasks)
+                if _pool is not None:
+                    results += _pool.map(_run_partition, tasks)
+                else:
+                    # a fork-context pool starts all its workers at once
+                    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+                        results += pool.map(_run_partition, tasks)
             except BrokenExecutor as exc:
                 raise ResourceLimitError(f"a search worker process died: {exc}") from exc
 
@@ -244,29 +252,44 @@ def lower_bound_table(
         raise ValueError("exponent range is empty")
     if not k_values:
         raise ValueError("alphabet size range is empty")
+    queries = [
+        SearchQuery(
+            exponent=r,
+            alphabet_size=k,
+            max_len=max_len,
+            max_start_positions=t,
+            witness_cap=witness_cap,
+        )
+        for r in r_values
+        for k in k_values
+    ]
+    _require_positive("jobs", jobs)
+    if jobs == 1:
+        pool = contextlib.nullcontext()
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # one pool for every cell, no larger than the most partitions a cell
+        # can have: the canonical words of the partition depth
+        depth = min(max_len, _PARTITION_DEPTH)
+        most = _kernels._canonical_table(max(k_values), depth, 0)[depth][0]
+        pool = ProcessPoolExecutor(max_workers=min(jobs, most))
+    with pool as workers:
+        results = [search_max_powers(q, budget=budget, jobs=jobs, _pool=workers) for q in queries]
     cells = []
-    for r in r_values:
-        for k in k_values:
-            query = SearchQuery(
-                exponent=r,
-                alphabet_size=k,
+    for query, result in zip(queries, results):
+        known = known_bound(query.exponent, query.alphabet_size)
+        flag = ""
+        if known is not None and result.best_count > known[0]:
+            flag = "conflict" if known[1] else "new"
+        cells.append(
+            TableCell(
+                exponent=query.exponent,
+                alphabet_size=query.alphabet_size,
                 max_len=max_len,
-                max_start_positions=t,
-                witness_cap=witness_cap,
+                result=result,
+                known=known,
+                flag=flag,
             )
-            result = search_max_powers(query, budget=budget, jobs=jobs)
-            known = known_bound(r, k)
-            flag = ""
-            if known is not None and result.best_count > known[0]:
-                flag = "conflict" if known[1] else "new"
-            cells.append(
-                TableCell(
-                    exponent=r,
-                    alphabet_size=k,
-                    max_len=max_len,
-                    result=result,
-                    known=known,
-                    flag=flag,
-                )
-            )
+        )
     return cells

@@ -246,6 +246,57 @@ def brute_search(r: int, k: int, max_len: int, t: int, cap: int = 16):
     return best, wits[:cap]
 
 
+def search_kernel_reference(prefix, max_len: int, k: int, r: int, t: int,
+                            node_budget: int, wcap: int, survey: bool):
+    """Reference for `_kernels.search_kernel`, with its arguments and its
+    result (status, nodes, pruned_sym, pruned_start, best, witnesses,
+    frontier). Walk the canonical strict extensions of `prefix` in
+    depth-first preorder, children in symbol order, scoring each node from
+    scratch by the literal root check. Each node visited costs one node of
+    budget, and the walk stops with status 2 at the first node the budget
+    cannot pay for. A node with more than t starts is counted as pruned and
+    not extended; every other node is scored, and one shorter than max_len
+    is extended and counts the letters its canonicality cap skips (so does
+    the prefix). best is -1 when no node is scored, the witnesses are the
+    first wcap scored nodes attaining it in (length, lex) order, and with
+    `survey` the frontier lists the scored nodes of length max_len in
+    visiting order."""
+
+    def children(codes):
+        mu = max(codes, default=0)
+        return [codes + (s,) for s in range(min(mu + 1, k) + 1)]
+
+    def skipped(codes):
+        return max(k - max(codes, default=0) - 1, 0)
+
+    prefix = tuple(prefix)
+    status = nodes = pruned_start = 0
+    best, ties, frontier = -1, [], []
+    pruned_sym = skipped(prefix) if len(prefix) < max_len else 0
+    stack = children(prefix)[::-1] if len(prefix) < max_len else []
+    while stack:
+        codes = stack.pop()
+        if nodes >= node_budget:
+            status = 2
+            break
+        nodes += 1
+        count, starts, _, _ = _brute_power_stats(codes, k, r)
+        if starts > t:
+            pruned_start += 1
+            continue
+        if count > best:
+            best, ties = count, []
+        if count == best:
+            ties.append(codes)
+        if len(codes) < max_len:
+            pruned_sym += skipped(codes)
+            stack += children(codes)[::-1]
+        elif survey:
+            frontier.append(list(codes))
+    witnesses = [list(c) for c in sorted(ties, key=lambda c: (len(c), c))[:wcap]]
+    return status, nodes, pruned_sym, pruned_start, best, witnesses, frontier
+
+
 def unpruned_search(r: int, k: int, max_len: int, t: int, cap: int = 16):
     """Same optimum via plain filtering of every canonical word, with the
     package's occurrence scan but none of the search's pruning."""

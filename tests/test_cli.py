@@ -289,6 +289,15 @@ class TestSearch:
             assert res.stdout == base.stdout
         assert json.loads(base.stdout)["bestCount"] == 3
 
+    def test_table_jobs_are_byte_identical(self):
+        # the cells share one pool of workers
+        argv = ("search", "table", "--r-min", "2", "--r-max", "4", "--k-min", "1",
+                "--k-max", "2", "--max-len", "9", "--json")
+        base = run_cli(*argv)
+        res = run_cli(*argv, "--jobs", "2")
+        assert (res.returncode, res.stdout) == (0, base.stdout)
+        assert len(json.loads(base.stdout)) == 6
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched kernel reaches the workers only by fork")
     def test_dead_worker_is_one_error_line(self, monkeypatch, capsys):
@@ -302,12 +311,14 @@ class TestSearch:
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "search_kernel", dying_kernel)
-        code = cli.main(["search", "--r", "3", "--k", "2", "--max-len", "9",
-                         "--json", "--jobs", "2"])
-        out, err = capsys.readouterr()
-        assert (code, out) == (2, "")
-        assert err.startswith("pwpowers: a search worker process died: ")
-        assert err.count("\n") == 1
+        for argv in (["search", "--r", "3", "--k", "2", "--max-len", "9"],
+                     ["search", "table", "--r-min", "3", "--r-max", "4", "--k-min", "2",
+                      "--k-max", "2", "--max-len", "9"]):
+            code = cli.main([*argv, "--json", "--jobs", "2"])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("pwpowers: a search worker process died: ")
+            assert err.count("\n") == 1
 
     def test_table_text(self):
         res = run_cli("search", "table", "--r-min", "2", "--r-max", "3",

@@ -14,12 +14,14 @@ from pwpowers import (
     power_profile,
     search_max_powers,
 )
-from pwpowers.search import _survey_prefixes
+from pwpowers._kernels import search_kernel
+from pwpowers.search import _PARTITION_DEPTH, _survey_prefixes
 from helpers import (
     all_code_tuples,
     brute_occurrences,
     brute_search,
     is_canonical_codes,
+    search_kernel_reference,
     to_word,
     unpruned_search,
     word,
@@ -181,9 +183,10 @@ class TestDeterminismAndBudget:
             assert a == b
         assert not b.exhaustive
 
-    def test_pool_is_capped_at_the_partitions(self, monkeypatch):
-        # a fork pool starts every worker at once, so a huge --jobs must not
-        # reach it; the fake pool starts no process
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        # the sizes of the process pools the search opens; the fake pool
+        # runs its tasks in this process and starts no worker
         import concurrent.futures
 
         sizes = []
@@ -202,10 +205,21 @@ class TestDeterminismAndBudget:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
+        return sizes
+
+    def test_pool_is_capped_at_the_partitions(self, pool_sizes):
+        # a fork pool starts every worker at once, so a huge --jobs must not
+        # reach it
         query = _query(3, 2, 9)
         partitions = _survey_prefixes(query, 4, 10**9)[1]
         assert search_max_powers(query, jobs=10**6) == search_max_powers(query, jobs=1)
-        assert sizes == [len(partitions)]
+        assert pool_sizes == [len(partitions)]
+
+    def test_table_opens_one_pool(self, pool_sizes):
+        # every cell of the table runs its partitions through one pool
+        table = lambda jobs: lower_bound_table(range(2, 4), range(1, 3), 8, jobs=jobs)
+        assert table(2) == table(1)
+        assert pool_sizes == [2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -256,6 +270,29 @@ class TestSurvey:
                         assert res[3] == len(pruned), case
                         assert res[4] == best, case
                         assert [tuple(c) for c in res[5]] == ties[:cap], case
+
+
+class TestKernelBudgets:
+    @pytest.mark.parametrize("r, k, n, t, wcap", [
+        (2, 2, 6, 1, 1),  # every leaf has two square starts
+        (2, 1, 5, 2, 16),
+        (2, 3, 5, 2, 2),  # the partitions are parents of leaves
+        (3, 2, 6, 1, 3),
+    ])
+    def test_every_budget_matches_the_preorder_oracle(self, r, k, n, t, wcap):
+        # the kernel must stop at exactly the node where a node-by-node walk
+        # runs out of budget, whatever it scores in one step; from the empty
+        # word and from some of the search's partitions, one past each
+        # subtree's size included
+        partitions = _survey_prefixes(_query(r, k, n, t), min(n, _PARTITION_DEPTH), 10**9)[1]
+        for prefix in [()] + partitions[::3]:
+            for survey in (False, True):
+                args = (n, k, r, t)
+                size = search_kernel_reference(prefix, *args, 10**9, wcap, survey)[1]
+                for budget in range(1, size + 2):
+                    expected = search_kernel_reference(prefix, *args, budget, wcap, survey)
+                    got = search_kernel(bytes(prefix), *args, budget, wcap, survey)
+                    assert got == expected, (prefix, survey, budget)
 
 
 class TestKnownBoundsAndTable:
