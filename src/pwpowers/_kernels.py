@@ -393,9 +393,8 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
     first witness longer than it, and a leaf only ever goes last. The
     children of a node at depth max_len - 1 are leaves. They are scored
     together in one pass, with no barrier row and no start marks, and then
-    counted, cut or kept one by one as any node is; when the budget cannot
-    pay for all of them they go node by node, so a run stops on the budget
-    at the same node either way.
+    counted, cut or kept one by one as any node is, so a run that spends
+    its budget among them stops at the same node as a node-by-node walk.
     """
     n = max_len
     pmax = n // r
@@ -445,7 +444,7 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
             s = trial[d]
             mu = max_used[d]
             top = mu + 1 if mu < k else k
-            if d == n - 1 and s == 0 and node_budget - nodes > top:
+            if d == n - 1:
                 # all children of w[:d] are leaves: score them in one pass
                 # over p, by _append's rule, with no barrier row and no
                 # marks. Window (i, r*p) ending at n is a power of a child
@@ -470,10 +469,13 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
                             new_by[0] += fresh
                             occ_by[w[j]] += 1
                             new_by[w[j]] += fresh
-                # each child is handled as the per-node path below handles a
-                # leaf. w[:d] holds only letters up to mu <= top, so the loop
+                # then each child is counted, cut or kept in symbol order.
+                # w[:d] holds only letters up to mu <= top, so a full pass
                 # clears every per-symbol count it filled
                 for s in range(top + 1):
+                    if nodes >= node_budget:
+                        status = 2
+                        break
                     added = occ_all + occ_by[s]
                     new_starts = new_all + new_by[s]
                     occ_by[s] = 0
@@ -492,6 +494,8 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
                             witnesses.append(w[:n])
                         if survey:
                             frontier.append(w[:n])
+                if status == 2:
+                    break
                 # advanced stays False: w[:d] is exhausted
             elif s <= top:
                 advanced = True
@@ -528,17 +532,11 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
                             witnesses.insert(pos, w[:m])
                             if len(witnesses) > wcap:
                                 witnesses.pop()
-                    if m < n:
-                        if mu < k:
-                            pruned_sym += k - mu - 1
-                        d = m
-                        trial[d] = 0
-                    else:
-                        if survey:
-                            frontier.append(w[:m])
-                        if new_starts:
-                            _unmark(marked_at, m, r)
-                        trial[d] += 1
+                    # m < n here: the leaves at depth n go by the pass above
+                    if mu < k:
+                        pruned_sym += k - mu - 1
+                    d = m
+                    trial[d] = 0
         if not advanced:
             if d == d0:
                 break

@@ -122,20 +122,41 @@ def _run_partition(task):
     return _kernels.search_kernel(bytes(prefix), n, k, r, t, quota, wcap, False)[:6]
 
 
+class _Workers(contextlib.ExitStack):
+    """One process pool for the searches run inside a `with` block, opened
+    by the first `run` and at the size that call asks for; later calls
+    reuse it, and the block's exit shuts it down."""
+
+    pool = None
+
+    def run(self, tasks, size):
+        """Run partition tasks in the pool, results in task order."""
+        # imported here so that no other command pays for loading them
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        try:
+            if self.pool is None:
+                # a fork-context pool starts all its workers at once
+                self.pool = self.enter_context(ProcessPoolExecutor(max_workers=size))
+            return list(self.pool.map(_run_partition, tasks))
+        except BrokenExecutor as exc:
+            raise ResourceLimitError(f"a search worker process died: {exc}") from exc
+
+
 def search_max_powers(
     query: SearchQuery,
     budget: int = DEFAULT_NODE_BUDGET,
     jobs: int = 1,
     *,
-    _pool=None,
+    _workers=None,
 ) -> SearchResult:
     """Maximize r-th power occurrences over words of length <= max_len with
     at most t distinct occurrence starts; ties among witnesses are resolved
     by shortest-then-lexicographic order and capped at witness_cap.
 
     When the node budget runs out the result still holds a valid lower
-    bound, flagged exhaustive=False. `_pool` is for lower_bound_table: an
-    open process pool that runs the partitions instead of one opened here.
+    bound, flagged exhaustive=False. `_workers` is for lower_bound_table:
+    a `_Workers` that keeps one process pool open across its searches.
     """
     _require_positive("budget", budget)
     _require_positive("jobs", jobs)
@@ -157,18 +178,9 @@ def search_max_powers(
         if jobs == 1 or count == 1:
             results += map(_run_partition, tasks)
         else:
-            # imported here so that no other command pays for loading them
-            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-            try:
-                if _pool is not None:
-                    results += _pool.map(_run_partition, tasks)
-                else:
-                    # a fork-context pool starts all its workers at once
-                    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
-                        results += pool.map(_run_partition, tasks)
-            except BrokenExecutor as exc:
-                raise ResourceLimitError(f"a search worker process died: {exc}") from exc
+            with _Workers() as own:
+                workers = own if _workers is None else _workers
+                results += workers.run(tasks, min(jobs, count))
 
     # the empty word scores 0 and is no kernel's node
     best = max(0, *(res[4] for res in results))
@@ -264,18 +276,10 @@ def lower_bound_table(
         for k in k_values
     ]
     _require_positive("jobs", jobs)
-    if jobs == 1:
-        pool = contextlib.nullcontext()
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one pool for every cell, no larger than the most partitions a cell
-        # can have: the canonical words of the partition depth
-        depth = min(max_len, _PARTITION_DEPTH)
-        most = _kernels._canonical_table(max(k_values), depth, 0)[depth][0]
-        pool = ProcessPoolExecutor(max_workers=min(jobs, most))
-    with pool as workers:
-        results = [search_max_powers(q, budget=budget, jobs=jobs, _pool=workers) for q in queries]
+    # every cell runs its partitions through one pool, opened by the first
+    # cell that has more than one
+    with _Workers() as workers:
+        results = [search_max_powers(q, budget=budget, jobs=jobs, _workers=workers) for q in queries]
     cells = []
     for query, result in zip(queries, results):
         known = known_bound(query.exponent, query.alphabet_size)

@@ -221,6 +221,15 @@ class TestDeterminismAndBudget:
         assert table(2) == table(1)
         assert pool_sizes == [2]
 
+    def test_table_pool_is_capped_at_the_partitions(self, pool_sizes):
+        # the table's one pool is no larger than a cell's partition count
+        table = lambda jobs: lower_bound_table(range(2, 4), range(1, 3), 8, jobs=jobs)
+        most = max(
+            len(_survey_prefixes(_query(r, k, 8), 4, 10**9)[1]) for r in range(2, 4) for k in range(1, 3)
+        )
+        assert table(10**6) == table(1)
+        assert len(pool_sizes) == 1 and pool_sizes[0] <= most
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchQuery(exponent=1, alphabet_size=2, max_len=4)
