@@ -264,36 +264,32 @@ def lower_bound_table(
         raise ValueError("exponent range is empty")
     if not k_values:
         raise ValueError("alphabet size range is empty")
-    queries = [
-        SearchQuery(
-            exponent=r,
-            alphabet_size=k,
-            max_len=max_len,
-            max_start_positions=t,
-            witness_cap=witness_cap,
-        )
-        for r in r_values
-        for k in k_values
-    ]
-    _require_positive("jobs", jobs)
+    cells = []
     # every cell runs its partitions through one pool, opened by the first
     # cell that has more than one
     with _Workers() as workers:
-        results = [search_max_powers(q, budget=budget, jobs=jobs, _workers=workers) for q in queries]
-    cells = []
-    for query, result in zip(queries, results):
-        known = known_bound(query.exponent, query.alphabet_size)
-        flag = ""
-        if known is not None and result.best_count > known[0]:
-            flag = "conflict" if known[1] else "new"
-        cells.append(
-            TableCell(
-                exponent=query.exponent,
-                alphabet_size=query.alphabet_size,
-                max_len=max_len,
-                result=result,
-                known=known,
-                flag=flag,
-            )
-        )
+        for r in r_values:
+            for k in k_values:
+                query = SearchQuery(
+                    exponent=r,
+                    alphabet_size=k,
+                    max_len=max_len,
+                    max_start_positions=t,
+                    witness_cap=witness_cap,
+                )
+                result = search_max_powers(query, budget=budget, jobs=jobs, _workers=workers)
+                known = known_bound(r, k)
+                flag = ""
+                if known is not None and result.best_count > known[0]:
+                    flag = "conflict" if known[1] else "new"
+                cells.append(
+                    TableCell(
+                        exponent=r,
+                        alphabet_size=k,
+                        max_len=max_len,
+                        result=result,
+                        known=known,
+                        flag=flag,
+                    )
+                )
     return cells

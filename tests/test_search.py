@@ -215,20 +215,15 @@ class TestDeterminismAndBudget:
         assert search_max_powers(query, jobs=10**6) == search_max_powers(query, jobs=1)
         assert pool_sizes == [len(partitions)]
 
-    def test_table_opens_one_pool(self, pool_sizes):
-        # every cell of the table runs its partitions through one pool
+    @pytest.mark.parametrize("jobs", [2, 10**6])
+    def test_table_opens_one_pool(self, pool_sizes, jobs):
+        # every cell of the table runs its partitions through one pool, which
+        # the first cell with more than one partition opens at its own size
+        cells = [_query(r, k, 8) for r in range(2, 4) for k in range(1, 3)]
+        counts = [len(_survey_prefixes(q, _PARTITION_DEPTH, 10**9)[1]) for q in cells]
         table = lambda jobs: lower_bound_table(range(2, 4), range(1, 3), 8, jobs=jobs)
-        assert table(2) == table(1)
-        assert pool_sizes == [2]
-
-    def test_table_pool_is_capped_at_the_partitions(self, pool_sizes):
-        # the table's one pool is no larger than a cell's partition count
-        table = lambda jobs: lower_bound_table(range(2, 4), range(1, 3), 8, jobs=jobs)
-        most = max(
-            len(_survey_prefixes(_query(r, k, 8), 4, 10**9)[1]) for r in range(2, 4) for k in range(1, 3)
-        )
-        assert table(10**6) == table(1)
-        assert len(pool_sizes) == 1 and pool_sizes[0] <= most
+        assert table(jobs) == table(1)
+        assert pool_sizes == [min(jobs, next(c for c in counts if c > 1))]
 
     def test_validation(self):
         with pytest.raises(ValueError):
