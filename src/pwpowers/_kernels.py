@@ -1,20 +1,10 @@
 """Inner loops for power detection, theorem checking, and search.
 
-Every @compile_kernel function is plain Python, compiled by one rule (numba
-njit, cached) when numba is importable and the PWPOWERS_NO_NUMBA
-environment variable is unset. Without numba the same functions run
-interpreted: identical results, much slower. No kernel has to release the
-interpreter lock, as `search --jobs` runs partitions in worker processes.
-Symbol encoding throughout: 0 is the hole, 1..k are letters. Positions
-inside kernels are 0-indexed; the public wrappers shift to the 1-indexed
+All kernels are plain Python. No kernel has to release the interpreter
+lock, as `search --jobs` runs partitions in worker processes. Symbol
+encoding throughout: 0 is the hole, 1..k are letters. Positions inside
+kernels are 0-indexed; the public wrappers shift to the 1-indexed
 convention.
-
-Kernels use only what both backends accept. Their arguments are ints and
-read-only byte views (`PartialWord.codes`, `bytes`), read with `len(a)`
-and `a[i]`; everything else is a list built inside the kernel, handed to
-its helpers or returned. A kernel makes the first insert into each list it
-builds itself, as numba types an empty list from that insert. So callers
-allocate nothing for a kernel.
 
 Both occurrence scans, `occurrence_scan` and the per-append scan inside
 `search_kernel`, use one rule. A break pair for root length p is two
@@ -27,38 +17,28 @@ scores the leaves, the children of a node one symbol short of the maximum
 length, all in one pass over p from their parent's barrier row: a window
 that no break pair of the parent crosses is closed by the hole and by every
 letter, or only by the hole and one letter, the nearest one of its class
-inside the window. Both kernels
-copy their input into plain int lists built inside the function:
-interpreted, list indexing is cheaper than indexing a byte view, and numba
-compiles such lists too. The independent check of both, by explicit root
-construction, lives in tests/helpers.py.
+inside the window. Both kernels work on plain int lists, as list indexing
+is cheaper than indexing a byte view. The independent check of both, by
+explicit root construction, lives in tests/helpers.py.
 
 The verifier kernels (fine-wilf, theorem-sq, lemma-h1, corollary-full)
 report as an odometer over every word would, length first, then
-lexicographic by symbol code (hole < a < b < ...), but run none and are
-not compiled. Each walks only the words its claim constrains: fine-wilf
-the canonical full words, the other three the start-bounded tree, scoring
-each append with the search's `_append`. All four count the rest of the
-space in closed form (see their section). Canonical representatives are
-words whose letters first appear in alphabetical order; predicates
-checked here are invariant under letter renaming, so skipping
-non-canonical words loses nothing.
+lexicographic by symbol code (hole < a < b < ...), but run none. Each
+walks only the words its claim constrains: fine-wilf the canonical full
+words, the other three the start-bounded tree, scoring each append with
+the search's `_append`. All four count the rest of the space in closed
+form (see their section). Canonical representatives are words whose
+letters first appear in alphabetical order; predicates checked here are
+invariant under letter renaming, so skipping non-canonical words loses
+nothing.
 """
 
 import math
-import os
 
-NUMBA_ENABLED = os.environ.get("PWPOWERS_NO_NUMBA", "").strip().lower() not in ("1", "true", "yes")
-if NUMBA_ENABLED:
-    try:
-        import numba
-    except ImportError:
-        NUMBA_ENABLED = False
-
-compile_kernel = numba.njit(cache=True) if NUMBA_ENABLED else (lambda func: func)
+# read by perfbench, which reports it as the kernel backend
+NUMBA_ENABLED = False
 
 
-@compile_kernel
 def occurrence_scan(word, r):
     # (start, length) of every r-th power occurrence, 0-indexed.
     # Sweep starts right to left; reach[p] is the right end of the nearest
@@ -69,9 +49,7 @@ def occurrence_scan(word, r):
     # descending order, then reversed: (start, length) order, which
     # power_occurrences relies on.
     n = len(word)
-    w = [0] * n
-    for i in range(n):
-        w[i] = int(word[i])
+    w = list(word)
     pmax = n // r
     reach = [n] * (pmax + 1)
     rows = []
@@ -325,7 +303,6 @@ def corollary_full_kernel(r, k, max_len, budget):
 # ---------------------------------------------------------------------------
 
 
-@compile_kernel
 def _append(w, m, r, pmax, bar, base, marked_at):
     # score w[m-1], just written: extend the barrier to row m and mark the
     # starts of the new occurrences (windows ending at m) with depth m.
@@ -361,7 +338,6 @@ def _append(w, m, r, pmax, bar, base, marked_at):
     return occ, starts
 
 
-@compile_kernel
 def _unmark(marked_at, m, r):
     # forget the starts first marked at depth m; they all end windows at m
     i = m - r
@@ -371,9 +347,8 @@ def _unmark(marked_at, m, r):
         i -= r
 
 
-@compile_kernel
 def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
-    """Depth-first search over canonical extensions of `prefix` (bytes).
+    """Depth-first search over canonical extensions of `prefix`.
 
     Scores every strict extension (the prefix node itself belongs to the
     caller), maintaining occurrence and start-position counts incrementally

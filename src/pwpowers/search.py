@@ -119,7 +119,7 @@ def _run_partition(task):
     max_len, k, r, t, quota, witness_cap). Returns the kernel's (status,
     nodes, pruned_sym, pruned_start, best, witnesses)."""
     prefix, n, k, r, t, quota, wcap = task
-    return _kernels.search_kernel(bytes(prefix), n, k, r, t, quota, wcap, False)[:6]
+    return _kernels.search_kernel(prefix, n, k, r, t, quota, wcap, False)[:6]
 
 
 class _Workers(contextlib.ExitStack):

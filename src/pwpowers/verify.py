@@ -93,7 +93,7 @@ def _report(
     return VerificationReport(
         claim=claim,
         parameters=parameters,
-        instances_checked=int(checked),
+        instances_checked=checked,
         outcome="pass" if counterexample is None else "fail",
         counterexample=counterexample,
         findings=findings,

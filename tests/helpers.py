@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from pwpowers import Alphabet, PartialWord, format_word, power_occurrences, parse_word
-from pwpowers._kernels import compile_kernel
 
 
 def word(text: str, k: int | None = None) -> PartialWord:
@@ -453,7 +452,6 @@ def check_canonicalize_laws(max_len: int, max_k: int, r: int = 2) -> int:
     return violations
 
 
-@compile_kernel
 def root_exists(w, start, length, k, r):
     # build an explicit full root x of length p by backtracking, letter by
     # letter; x[j] must match every defined symbol at start+j, start+j+p, ...
@@ -488,16 +486,13 @@ def root_exists(w, start, length, k, r):
                 return False
 
 
-@compile_kernel
 def occurrence_scan_by_roots(word, k, r):
     # (start, length) rows of the occurrence set computed purely through
     # explicit root construction, the independent oracle for
     # _kernels.occurrence_scan; the word is read once into an int list, as
     # the production kernels do
     n = len(word)
-    w = [0] * n
-    for i in range(n):
-        w[i] = int(word[i])
+    w = list(word)
     rows = []
     for start in range(n):
         length = r

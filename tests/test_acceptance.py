@@ -2,8 +2,8 @@
 
 Each test is one shipping criterion; it prints a single PASS/FAIL line with
 the measured values (visible even under pytest capture) and then asserts.
-Every test also asserts its wall-clock budget, on either backend: the
-budgets are loose enough for the interpreted fallback.
+Every test also asserts its wall-clock budget, loose enough for the
+interpreted kernels.
 """
 
 import json

@@ -23,16 +23,12 @@ from pwpowers.cli import _json_text
 PKG = [sys.executable, "-m", "pwpowers"]
 
 
-def run_cli(*args, stdin=None, no_numba=False):
-    env = dict(os.environ)
-    if no_numba:
-        env["PWPOWERS_NO_NUMBA"] = "1"
+def run_cli(*args, stdin=None):
     return subprocess.run(
         PKG + list(args),
         input=stdin,
         capture_output=True,
         text=True,
-        env=env,
         timeout=600,
     )
 
@@ -394,26 +390,30 @@ def test_cli_import_loads_no_pool():
     assert res.stdout == "[]\n"
 
 
-def test_interpreted_cli_loads_no_numpy():
-    # the package never imports numpy (numba brings it along when
-    # installed); importing it would cost most of an interpreted command's
-    # start-up
+def test_interpreted_cli_loads_no_numpy(tmp_path):
+    # the package imports neither numpy, which would cost most of an
+    # interpreted command's start-up, nor numba: a numba that is first on
+    # the path fails any import of it
+    (tmp_path / "numba").mkdir()
+    (tmp_path / "numba" / "__init__.py").write_text("raise RuntimeError('numba imported')\n")
     code = (
         "import contextlib, io, sys\n"
         "import pwpowers.cli as cli\n"
-        "loaded = ['numpy' in sys.modules]\n"
+        "heavy = lambda: sorted({'numpy', 'numba'} & sys.modules.keys())\n"
+        "loaded = [heavy()]\n"
         "for argv in (['analyze', '.abacaba', '--r', '2'],\n"
         "             ['verify', 'theorem-sq', '--k', '2', '--max-len', '8'],\n"
         "             ['search', '--r', '3', '--k', '2', '--max-len', '8']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "    loaded.append('numpy' in sys.modules)\n"
+        "    loaded.append(heavy())\n"
         "print(loaded)"
     )
+    path = os.pathsep.join([str(tmp_path), os.environ["PYTHONPATH"]])
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PWPOWERS_NO_NUMBA="1"), timeout=600)
+                         env=dict(os.environ, PYTHONPATH=path), timeout=600)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[False, False, False, False]\n"
+    assert res.stdout == "[[], [], [], []]\n"
 
 
 json_strings = st.text(
@@ -472,27 +472,6 @@ class TestJsonWriter:
             json.dumps(value, indent=2)
         with pytest.raises(TypeError):
             _json_text(value)
-
-
-class TestInterpreterFallback:
-    """PWPOWERS_NO_NUMBA=1 must change performance only, never output."""
-
-    def test_analyze_matches(self):
-        a = run_cli("analyze", "..aba.baa", "--r", "3", "--json")
-        b = run_cli("analyze", "..aba.baa", "--r", "3", "--json", no_numba=True)
-        assert a.stdout == b.stdout
-        assert b.returncode == 0
-
-    def test_search_matches(self):
-        args = ("search", "--r", "2", "--k", "2", "--max-len", "8", "--json")
-        assert run_cli(*args).stdout == run_cli(*args, no_numba=True).stdout
-
-    def test_verify_matches(self):
-        args = ("verify", "theorem-sq", "--k", "2", "--max-len", "7", "--json")
-        a, b = run_cli(*args), run_cli(*args, no_numba=True)
-        a_doc, b_doc = json.loads(a.stdout), json.loads(b.stdout)
-        a_doc.pop("elapsedSeconds"), b_doc.pop("elapsedSeconds")
-        assert a_doc == b_doc
 
 
 def test_no_ansi_escapes_anywhere():

@@ -31,6 +31,11 @@ def test_patch_points_exist(trace):
         assert callable(getattr(module, attr, None)), (module.__name__, attr, name)
 
 
+def test_backend_constant():
+    # trace.py and run.py report the kernel backend from this constant
+    assert pwpowers._kernels.NUMBA_ENABLED is False
+
+
 def test_notes_read_real_calls(trace):
     # each note reads the arguments and result of the function it wraps
     # (the scan's note reads its word's `shape`), so a change of what the
