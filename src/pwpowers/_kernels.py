@@ -6,20 +6,27 @@ encoding throughout: 0 is the hole, 1..k are letters. Positions inside
 kernels are 0-indexed; the public wrappers shift to the 1-indexed
 convention.
 
-Both occurrence scans, `occurrence_scan` and the per-append scan inside
-`search_kernel`, use one rule. A break pair for root length p is two
-consecutive defined symbols of one residue class mod p that disagree, and a
-window of length r*p is an r-th power iff it contains no break pair. The
-scan sweeps starts right to left, keeping for each p the nearest break pair
-to the right; the search keeps, per depth, the rightmost one to the left.
-Either way the cost per window is O(1) plus a walk over holes. The search
-scores the leaves, the children of a node one symbol short of the maximum
-length, all in one pass over p from their parent's barrier row: a window
-that no break pair of the parent crosses is closed by the hole and by every
-letter, or only by the hole and one letter, the nearest one of its class
-inside the window. Both kernels work on plain int lists, as list indexing
-is cheaper than indexing a byte view. The independent check of both, by
-explicit root construction, lives in tests/helpers.py.
+A window of length r*p is an r-th power iff no residue class mod p inside
+it holds two different letters. The two occurrence scans test that rule in
+two forms. `occurrence_scan` is bit-parallel over positions: for each p it
+marks, with a few big-int operations over the whole word, every pair of
+letters t*p apart (t = 1..r-1) that differ, and keeps the windows holding
+none. Any two positions of one class inside a window lie at most (r-1)*p
+apart, so these pairs are all the pairs the rule names. The per-append scan
+inside `search_kernel` keeps break pairs instead: two consecutive letters of
+one residue class mod p that differ, with only holes of that class between
+them. A window holds a differing pair of one class iff it holds a break
+pair (between two differing letters of a class, some two consecutive ones
+differ), so both forms accept the same windows. The independent checks of
+both scans, by explicit root construction and class by class, live in
+tests/helpers.py.
+
+The search scores the leaves, the children of a node one symbol short of
+the maximum length, all in one pass over p from their parent's barrier
+row: a window that no break pair of the parent crosses is closed by the
+hole and by every letter, or only by the hole and one letter, the nearest
+one of its class inside the window. The search works on plain int lists,
+as list indexing is cheaper than indexing a byte view.
 
 The verifier kernels (fine-wilf, theorem-sq, lemma-h1, corollary-full)
 report as an odometer over every word would, length first, then
@@ -34,39 +41,67 @@ nothing.
 """
 
 import math
+from itertools import compress, repeat
 
 # read by perfbench, which reports it as the kernel backend
 NUMBA_ENABLED = False
 
 
+# translate table for occurrence_scan: 0x80 for a letter, 0 for the hole
+_DEFINED = b"\0" + b"\x80" * 255
+
+
 def occurrence_scan(word, r):
-    # (start, length) of every r-th power occurrence, 0-indexed.
-    # Sweep starts right to left; reach[p] is the right end of the nearest
-    # break pair (consecutive defined symbols of one class mod p that
-    # disagree) whose left end is at or after `start`, or n when there is
-    # none, so window (start, r*p) is a power iff reach[p] >= start + r*p.
-    # Rows are appended with starts descending, each start's lengths in
-    # descending order, then reversed: (start, length) order, which
-    # power_occurrences relies on.
+    # (start, length) of every r-th power occurrence, 0-indexed, in
+    # (start, length) order, which power_occurrences relies on. `word` is a
+    # byte view, bytes or an int list of codes below 128.
+    #
+    # Byte x of each int stands for position x (little-endian): W holds the
+    # codes, D the bit 0x80 of every letter, D7 its bits 0x7f. At shift
+    # s = t*p, ((W ^ W>>8s) + D7) carries into bit 0x80 of byte x iff x is a
+    # letter that differs from w[x+s], and D>>8s asks w[x+s] to be a letter:
+    # C_t marks every differing pair (x, x+t*p). Window (i, r*p) is a power
+    # iff no C_t, t = 1..r-1, marks an x in [i, i + (r-t)*p), so Q_t, the OR
+    # of C_1..C_t, is folded over those spans by p-shifts (Y = Y>>8p | Q_t)
+    # and spread over p positions by doubling shifts. The zero bytes of Y
+    # among the starts 0..n-r*p are the power starts for p.
     n = len(word)
-    w = list(word)
     pmax = n // r
-    reach = [n] * (pmax + 1)
-    rows = []
-    for start in range(n - 1, -1, -1):
-        s = w[start]
-        if s != 0:
-            for p in range(1, min(pmax, n - 1 - start) + 1):
-                j = start + p
-                while j < n and w[j] == 0:
-                    j += p
-                if j < reach[p] and w[j] != s:
-                    reach[p] = j
-        for p in range((n - start) // r, 0, -1):
-            if reach[p] >= start + r * p:
-                rows.append((start, r * p))
-    rows.reverse()
-    return rows
+    if not pmax:
+        return []
+    b = bytes(word)
+    W = int.from_bytes(b, "little")
+    D = int.from_bytes(b.translate(_DEFINED), "little")
+    D7 = D - (D >> 7)
+    every = int.from_bytes(b"\x80" * n)  # bit 0x80 of every position
+    more_t = range(r - 2)
+    spread = []  # shifts by 1, 2, 4, .. positions below p, in bits
+    top = 1  # largest power of two up to p
+    # rows are gathered as start * (n+1) + length, p by p, then sorted
+    stride = n + 1
+    keys = []
+    for p in range(1, pmax + 1):
+        if p == top << 1:
+            spread.append(top << 3)
+            top = p
+        sp = p << 3
+        Q = Y = ((W ^ (W >> sp)) + D7) & (D >> sp)
+        s = sp
+        for _ in more_t:
+            s += sp
+            Q |= ((W ^ (W >> s)) + D7) & (D >> s)
+            Y = Y >> sp | Q
+        for shift in spread:
+            Y |= Y >> shift
+        if p != top:
+            Y |= Y >> ((p - top) << 3)
+        length = r * p
+        good = (every >> ((length - 1) << 3)) & ~Y
+        if good:
+            flags = good.to_bytes(n - length + 1, "little")
+            keys += compress(range(length, length + n * stride, stride), flags)
+    keys.sort()
+    return list(map(divmod, keys, repeat(stride)))
 
 
 # ---------------------------------------------------------------------------

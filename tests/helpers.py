@@ -501,3 +501,21 @@ def occurrence_scan_by_roots(word, k, r):
                 rows.append((start, length))
             length += r
     return rows
+
+
+def class_occurrences(codes, r):
+    # (start, length) rows, 0-indexed and in (start, length) order, of the
+    # windows whose residue classes mod the root length each hold at most
+    # one distinct letter: the definition of an r-th power, read class by
+    # class with no pair, break or mask logic. Polynomial in the length, so
+    # unlike occurrence_scan_by_roots it reaches long words
+    w = list(codes)
+    n = len(w)
+    rows = []
+    for start in range(n):
+        for length in range(r, n - start + 1, r):
+            p = length // r
+            window = w[start : start + length]
+            if all(len(set(window[c::p]) - {0}) <= 1 for c in range(p)):
+                rows.append((start, length))
+    return rows

@@ -2,6 +2,7 @@
 exit codes, JSON round-trips, and run-to-run byte identity; plus the JSON
 writer against the stdlib encoder."""
 
+import collections
 import json
 import math
 import multiprocessing
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,6 +23,15 @@ from pwpowers import _kernels, cli
 from pwpowers.cli import _json_text
 
 PKG = [sys.executable, "-m", "pwpowers"]
+
+
+class _ListSubclass(list):
+    pass
+
+
+class _Pair(NamedTuple):
+    start: int
+    length: object
 
 
 def run_cli(*args, stdin=None):
@@ -463,6 +474,13 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(json_documents)
     @example({"a": [], "b": {}, "c": (), "d": [[], {}, [[]]], "e": [1, True, -0.0]})
+    # exact dicts and lists skip the writer's type tests; subclasses, tuples
+    # and named tuples take them, and must still come out as the stdlib's
+    @example(collections.OrderedDict([("b", 1), ("a", [2, {"c": None}])]))
+    @example(_ListSubclass([1, "x", _ListSubclass(), {"d": 2.5}]))
+    @example((1, (2, 3), (), {"e": ()}))
+    @example(_Pair(start=1, length=(2, [3])))
+    @example({"nested": [collections.OrderedDict(z=_Pair(0, 1)), _ListSubclass([()])]})
     def test_matches_stdlib(self, doc):
         assert _json_text(doc) == json.dumps(doc, indent=2)
 

@@ -26,7 +26,7 @@ class TestSquareChain:
             assert len(square_chain(k)) == 2**k
 
     def test_profiles(self):
-        for k in range(6):
+        for k in (*range(6), 12):  # k = 12: length 4096
             w = square_chain(k)
             assert w.hole_positions() == (1,)
             assert occ_pairs(w, 2) == [(1, 2**j) for j in range(1, k + 1)]

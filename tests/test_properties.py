@@ -28,6 +28,7 @@ from helpers import (
     check_extension_monotonicity,
     check_join_laws,
     check_permutation_invariance,
+    class_occurrences,
     occurrence_scan_by_roots,
     to_word,
 )
@@ -187,10 +188,11 @@ class TestSearchAgreesWithTheoremSq:
 
 
 class TestCrossKernelAgreement:
-    """The production break-pair scan, in its own output order, equals the
+    """The production scan, in its own output order, equals the
     sorted root-construction oracle word-for-word, on fixed edge inputs and
     a randomized sample, read through the byte view PartialWord.codes
-    hands it."""
+    hands it; and the residue-class oracle on words too long for the
+    first."""
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_scan_variants_agree(self, r):
@@ -214,3 +216,30 @@ class TestCrossKernelAgreement:
         for codes, k in samples:
             expected = sorted(occurrence_scan_by_roots(memoryview(codes), k, r))
             assert _kernels.occurrence_scan(memoryview(codes), r) == expected, list(codes)
+
+    def test_scan_matches_class_oracle_on_long_words(self):
+        # the residue-class oracle reaches the lengths the root oracle
+        # cannot: seeded words up to 200 symbols at r = 2..10, plus edge
+        # inputs, among them words where every window is a power
+        from pwpowers import _kernels
+
+        samples = [
+            ((), 2),  # the empty word
+            ((1, 2), 3),  # shorter than r
+            ((0,) * 60, 2),  # all holes
+            ((1,) * 45, 3),  # one letter repeated
+            ((1,) * 30 + (0,) * 30, 2),  # every window is a power
+            ((1, 0, 2), 3),  # a.b: its letters are 2p apart, with a hole between
+            ((1, 0, 0, 0, 2, 0), 3),  # the same for p = 2
+            ((0, 1, 2), 3),  # .ab: the differing pair ends the window
+        ]
+        rng = np.random.default_rng(20261019)
+        for n in range(0, 201, 5):
+            k = int(rng.integers(1, 5))
+            r = int(rng.integers(2, 11))
+            holes = rng.random(n) < 0.4
+            codes = np.where(holes, 0, rng.integers(1, k + 1, size=n))
+            samples.append((tuple(int(c) for c in codes), r))
+        for codes, r in samples:
+            got = _kernels.occurrence_scan(memoryview(bytes(codes)), r)
+            assert got == class_occurrences(codes, r), (codes, r)
