@@ -73,7 +73,7 @@ def occurrence_scan(word, r):
     W = int.from_bytes(b, "little")
     D = int.from_bytes(b.translate(_DEFINED), "little")
     D7 = D - (D >> 7)
-    every = int.from_bytes(b"\x80" * n)  # bit 0x80 of every position
+    every = int.from_bytes(b"\x80" * n, "little")  # bit 0x80 of every position
     more_t = range(r - 2)
     spread = []  # shifts by 1, 2, 4, .. positions below p, in bits
     top = 1  # largest power of two up to p

@@ -48,35 +48,13 @@ def _json_text(doc, newline: str = "\n") -> str:
     items here, with the C string escaper, builds the same text in about
     half the time.
     """
-    # exact dicts and lists, nearly every container of a document, skip the
-    # type tests; no class is both a dict and a list or tuple, so the order
-    # of the tests below only matters for scalars
-    cls = doc.__class__
-    if cls is not dict and cls is not list:
-        if isinstance(doc, str):
-            return encode_basestring_ascii(doc)
-        if doc is None:
-            return "null"
-        if doc is True:
-            return "true"
-        if doc is False:
-            return "false"
-        if isinstance(doc, int):
-            return int.__repr__(doc)
-        if isinstance(doc, float):
-            if doc != doc:
-                return "NaN"
-            if doc == _INF:
-                return "Infinity"
-            if doc == -_INF:
-                return "-Infinity"
-            return float.__repr__(doc)
-        if not isinstance(doc, (list, tuple, dict)):
-            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    # plain ints, most of the values in an analyze document, are written
-    # without a call; bools and int subclasses take the path above
+    # containers first: nearly every value below the top is a dict or a
+    # list, and no class can be both a container and a scalar (their
+    # instance layouts conflict), so the order only matters among scalars.
+    # Plain ints, most of the values in an analyze document, are written
+    # without a call; bools and int subclasses take the scalar tests.
     inner = newline + "  "
-    if cls is dict or cls is not list and isinstance(doc, dict):
+    if isinstance(doc, dict):
         if not doc:
             return "{}"
         items = [
@@ -85,10 +63,30 @@ def _json_text(doc, newline: str = "\n") -> str:
             for k, v in doc.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if not doc:
-        return "[]"
-    items = [int.__repr__(v) if v.__class__ is int else _json_text(v, inner) for v in doc]
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = [int.__repr__(v) if v.__class__ is int else _json_text(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float):
+        if doc != doc:
+            return "NaN"
+        if doc == _INF:
+            return "Infinity"
+        if doc == -_INF:
+            return "-Infinity"
+        return float.__repr__(doc)
+    raise TypeError(f"Object of type {doc.__class__.__name__} is not JSON serializable")
 
 
 def _print_json(doc) -> None:

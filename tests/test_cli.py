@@ -474,8 +474,8 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(json_documents)
     @example({"a": [], "b": {}, "c": (), "d": [[], {}, [[]]], "e": [1, True, -0.0]})
-    # exact dicts and lists skip the writer's type tests; subclasses, tuples
-    # and named tuples take them, and must still come out as the stdlib's
+    # subclasses of dict and list, tuples and named tuples must come out as
+    # the stdlib's, though the writer tests containers before scalars
     @example(collections.OrderedDict([("b", 1), ("a", [2, {"c": None}])]))
     @example(_ListSubclass([1, "x", _ListSubclass(), {"d": 2.5}]))
     @example((1, (2, 3), (), {"e": ()}))

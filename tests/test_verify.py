@@ -375,7 +375,6 @@ class TestFailureBranches:
 class TestConstructionReports:
     def test_all_pass(self):
         assert verify_construction("square-chain", k=4).passed
-        assert verify_construction("square-chain", k=12).passed
         assert verify_construction("prop2", r=5).passed
         assert verify_construction("prop3", r=9).passed
         report = verify_construction("cube-examples")
