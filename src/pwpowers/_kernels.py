@@ -30,11 +30,12 @@ as list indexing is cheaper than indexing a byte view.
 
 The verifier kernels (fine-wilf, theorem-sq, lemma-h1, corollary-full)
 report as an odometer over every word would, length first, then
-lexicographic by symbol code (hole < a < b < ...), but run none. Each
-walks only the words its claim constrains: fine-wilf the canonical full
-words, the other three the start-bounded tree, scoring each append with
-the search's `_append`. All four count the rest of the space in closed
-form (see their section). Canonical representatives are words whose
+lexicographic by symbol code (hole < a < b < ...), but run none. All four
+share one depth-first pass over the words their claim constrains:
+fine-wilf the canonical full words, the other three the start-bounded
+tree, scoring each append with the search's `_append`. The pass cuts by
+odometer position, and the rest of the space is counted in closed form
+(see their section). Canonical representatives are words whose
 letters first appear in alphabetical order; predicates checked here are
 invariant under letter renaming, so skipping non-canonical words loses
 nothing.
@@ -119,11 +120,12 @@ def occurrence_scan(word, r):
 # the stop (0 for fine-wilf, which counts none), and witness the first word
 # attaining it.
 #
-# No odometer runs. Each claim is decided on a stream of its premise words,
-# the canonical words it constrains, in odometer order, and the counts are
-# computed in closed form: `enumerated` is the odometer position of the
-# counterexample, `checked` its rank among canonical words, and the budget
-# stops the run exactly where the odometer would have.
+# No odometer runs. Each claim is decided in one depth-first pass over its
+# premise words, the canonical words it constrains, cut by odometer
+# position, and the counts are computed in closed form: `enumerated` is the
+# odometer position of the counterexample, `checked` its rank among
+# canonical words, and the budget stops the run exactly where the odometer
+# would have.
 #
 # fine-wilf constrains every full word. The other three claims constrain
 # only words whose r-th powers all start at one position. theorem-sq and
@@ -150,21 +152,6 @@ def _budget_reach(symbols, max_len, budget):
     return length
 
 
-def _canonical_full_words(k, max_len):
-    # every canonical full word of length 1..max_len over the letters 1..k,
-    # in length-then-lex order, by a depth-first walk that extends only
-    # canonical prefixes (mu: the largest letter of the prefix)
-    def extend(prefix, mu, n):
-        if len(prefix) == n:
-            yield prefix
-        else:
-            for s in range(1, min(mu + 1, k) + 1):
-                yield from extend(prefix + (s,), max(mu, s), n)
-
-    for n in range(1, max_len + 1):
-        yield from extend((), 0, n)
-
-
 def _fine_wilf_refutation(codes):
     # the first pair (p, q), p ascending, then q >= p ascending, of strong
     # periods of the full word `codes` with |codes| >= p + q - gcd(p, q)
@@ -179,42 +166,6 @@ def _fine_wilf_refutation(codes):
             if n >= p + q - g and g not in periods:
                 return p, q
     return None
-
-
-def _start_bounded_words(r, k, lo, max_len):
-    # (codes, powers) for every canonical word of length 1..max_len over the
-    # symbols lo..k that has r-th powers, all starting at one position, in
-    # length-then-lex order. Pass n walks the tree depth first down to
-    # length n, scoring each append with _append, so it meets the words of
-    # length n in lex order. The tree is closed under prefixes: a pass that
-    # reaches no word of its length ends the walk.
-    for n in range(1, max_len + 1):
-        w, marked_at, bar, base = [0] * n, [0] * n, [-1], [0]
-        # per depth m: largest letter, powers and power starts of w[:m],
-        # and the next symbol to append to it
-        mu, powers, starts, trial = ([0] * (n + 1) for _ in range(4))
-        trial[0] = lo
-        reached = False
-        m = 0  # depth of the current node w[:m]
-        while m >= 0:
-            s = trial[m]
-            if m < n and starts[m] < 2 and s <= min(mu[m] + 1, k):
-                trial[m] = s + 1
-                w[m] = s
-                added, new = _append(w, m + 1, r, n // r, bar, base, marked_at)
-                m += 1
-                mu[m], trial[m] = max(mu[m - 1], s), lo
-                powers[m], starts[m] = powers[m - 1] + added, starts[m - 1] + new
-                if m == n and starts[m] < 2:
-                    reached = True
-                    if starts[m]:
-                        yield tuple(w), powers[m]
-            else:
-                if m and starts[m] != starts[m - 1]:
-                    _unmark(marked_at, m, r)
-                m -= 1
-        if not reached:
-            return
 
 
 def _position(codes, k, lo):
@@ -261,13 +212,22 @@ def _canonical_rank(codes, f, lo):
     return rank + 1
 
 
-def _decide_start_bounded(k, lo, max_len, budget, walk, violates):
-    # shared body of the four kernels below. walk(n) yields (codes, powers)
-    # for the premise words of length 1..n in odometer order, powers being
-    # the count that best tracks; violates(codes, powers) tests one of them.
-    # A run stops at the first premise word past the budget, so the walk
-    # never goes beyond the longest length whose first word the budget
-    # reaches.
+def _decide_start_bounded(r, k, lo, max_len, budget, violates):
+    # shared body of the four kernels below: one depth-first pass over the
+    # canonical words of length 1..max_len over the symbols lo..k. With an
+    # exponent r it walks the tree of words with at most one r-th power
+    # start, scoring each append with _append, and its premise words are
+    # those with one start; with r None it scores nothing and every word is
+    # a premise word, with power count 0. violates(codes, powers) tests one
+    # premise word.
+    #
+    # The pass meets words out of odometer order, but every extension of a
+    # word and every later sibling comes after it there. So a limit on the
+    # odometer position, starting at the budget, cuts a child and all its
+    # later siblings once the child passes it, and a violation at position
+    # v lowers it to v - 1: the last violation found is the least one. best
+    # and witness come from a Pareto record of (position, powers, codes),
+    # both rising, read at the final limit.
     # last: the odometer position of the last word of length walk_len;
     # rank_at(p): the canonical words among the first p words
     symbols = k + 1 - lo
@@ -281,15 +241,53 @@ def _decide_start_bounded(k, lo, max_len, budget, walk, violates):
         f = _canonical_table(k, walk_len, lo)
         last = _position((k,) * walk_len, k, lo)
         rank_at = lambda position: _canonical_rank(_codes_at(position, k, lo), f, lo)
-    best, witness = 0, None
-    for codes, powers in walk(walk_len):
-        position = _position(codes, k, lo)
-        if position > budget:
-            break
-        if violates(codes, powers):
-            return 1, rank_at(position), position, codes, best, witness
-        if powers > best:
-            best, witness = powers, codes
+    pmax = walk_len // r if r else 0
+    limit, counterexample = budget, None
+    record = [(0, 0, None)]  # (0, 0, None): no premise word with a power
+    w, marked_at, bar, base = [], [], [-1], [0]
+    # per depth m, grown as the pass first reaches it: odometer position,
+    # largest letter, powers and power starts of w[:m], and the next symbol
+    # to append to it
+    pos, mu, powers, starts, trial = [0], [0], [0], [0], [lo]
+    m = 0  # depth of the current node w[:m]
+    while m >= 0:
+        s = trial[m]
+        position = pos[m] * symbols + s + 1 - lo
+        if m < max_len and starts[m] < 2 and s <= min(mu[m] + 1, k) and position <= limit:
+            trial[m] = s + 1
+            if m == len(w):
+                for stack in (w, marked_at, pos, mu, powers, starts, trial):
+                    stack.append(0)
+            w[m] = s
+            m += 1
+            pos[m], mu[m], trial[m] = position, max(mu[m - 1], s), lo
+            if r:
+                added, new = _append(w, m, r, pmax, bar, base, marked_at)
+                powers[m], starts[m] = powers[m - 1] + added, starts[m - 1] + new
+            if not r or starts[m] == 1:
+                codes = tuple(w[:m])
+                if violates(codes, powers[m]):
+                    limit, counterexample = position - 1, codes
+                    while record[-1][0] > limit:
+                        record.pop()
+                else:
+                    # unless an entry no later than the word has as many
+                    # powers, it replaces the later entries with no more
+                    i = len(record)
+                    while record[i - 1][0] > position:
+                        i -= 1
+                    if powers[m] > record[i - 1][1]:
+                        j = i
+                        while j < len(record) and record[j][1] <= powers[m]:
+                            j += 1
+                        record[i:j] = [(position, powers[m], codes)]
+        else:
+            if m and starts[m] != starts[m - 1]:
+                _unmark(marked_at, m, r)
+            m -= 1
+    _, best, witness = record[-1]
+    if counterexample is not None:
+        return 1, rank_at(limit + 1), limit + 1, counterexample, best, witness
     if walk_len == max_len and last <= budget:
         return 0, rank_at(last), last, None, best, witness
     return 2, rank_at(budget) if budget >= 1 else 0, max(budget + 1, 1), None, best, witness
@@ -300,9 +298,7 @@ def fine_wilf_kernel(k, max_len, budget):
     # enough (|w| >= p + q - gcd(p,q)), gcd(p,q) must be a strong period too.
     # Every canonical full word is a premise word, with no power count
     return _decide_start_bounded(
-        k, 1, max_len, budget,
-        lambda n: ((codes, 0) for codes in _canonical_full_words(k, n)),
-        lambda codes, _: _fine_wilf_refutation(codes) is not None,
+        None, k, 1, max_len, budget, lambda codes, _: _fine_wilf_refutation(codes) is not None
     )
 
 
@@ -310,7 +306,7 @@ def lemma_h1_kernel(k, max_len, budget):
     # words with two or more squares all starting at the same position must
     # have exactly one hole, located at position 1
     return _decide_start_bounded(
-        k, 0, max_len, budget, lambda n: _start_bounded_words(2, k, 0, n),
+        2, k, 0, max_len, budget,
         lambda codes, squares: squares > 1 and (codes[0] != 0 or codes.count(0) != 1),
     )
 
@@ -318,19 +314,13 @@ def lemma_h1_kernel(k, max_len, budget):
 def theorem_sq_kernel(k, max_len, bound, budget):
     # words whose squares all start at one position carry at most `bound`
     # of them
-    return _decide_start_bounded(
-        k, 0, max_len, budget, lambda n: _start_bounded_words(2, k, 0, n),
-        lambda codes, squares: squares > bound,
-    )
+    return _decide_start_bounded(2, k, 0, max_len, budget, lambda codes, squares: squares > bound)
 
 
 def corollary_full_kernel(r, k, max_len, budget):
     # full words: a position starting two or more r-th power occurrences is
     # never the last start, so no word has two occurrences at a unique start
-    return _decide_start_bounded(
-        k, 1, max_len, budget, lambda n: _start_bounded_words(r, k, 1, n),
-        lambda codes, powers: powers > 1,
-    )
+    return _decide_start_bounded(r, k, 1, max_len, budget, lambda codes, powers: powers > 1)
 
 
 # ---------------------------------------------------------------------------

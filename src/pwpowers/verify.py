@@ -5,13 +5,13 @@ Each verifier covers every word up to a stated length (restricted to
 canonical representatives where the claim is invariant under letter
 renaming, which all of these are) and returns a VerificationReport.
 fine-wilf, theorem-sq, lemma-h1 and corollary-full share one body: their
-kernels walk only the words the claim constrains (every canonical full
-word for fine-wilf; for the other three, those whose powers start at one
-position at most, which for corollary-full holds of its first
-counterexample, if any) and count the rest. A failing report always
-carries a concrete counterexample that can be re-checked through the
-public API. Enumerations are capped by a check budget; exceeding it raises
-ResourceLimitError rather than returning a verdict.
+kernels make one depth-first pass over the words the claim constrains
+(every canonical full word for fine-wilf; for the other three, those
+whose powers start at one position at most, which for corollary-full
+holds of its first counterexample, if any) and count the rest. A failing
+report always carries a concrete counterexample that can be re-checked
+through the public API. Enumerations are capped by a check budget;
+exceeding it raises ResourceLimitError rather than returning a verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .powers import _validate_exponent, power_occurrences, power_profile
 from .words import Alphabet, PartialWord, _require_positive, format_word
 
 DEFAULT_CHECK_BUDGET = 10**8
-_MAX_FINE_WILF_LEN = 60  # the word stream nests a generator per symbol, far inside the recursion limit
+_MAX_FINE_WILF_LEN = 60
 
 
 @dataclass(frozen=True)

@@ -115,14 +115,15 @@ def _brute_power_stats(codes: tuple[int, ...], k: int, r: int) -> tuple[int, int
 
 
 def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = None,
-                       r: int = 2, full: bool = False):
+                       r: int = 2, full: bool = False, refuted=frozenset()):
     """Reference for the start-bounded verifiers: theorem-sq (`bound`
     given), lemma-h1 (`bound` None) and, with `full`, corollary-full on
     r-th powers. Walk every word of length 1..max_len over k letters, and
     holes unless `full`, in length-then-lex order, count each word produced
     against the budget before looking at it, and test only the canonical
     ones. corollary-full is tested on every full word as stated: the last
-    power start must carry a single occurrence.
+    power start must carry a single occurrence. A word in `refuted` whose
+    powers all start at one position is refuted too.
 
     Returns (status, checked, enumerated, counterexample, best, witness):
     status 0 pass, 1 counterexample, 2 budget exceeded; counterexample and
@@ -148,20 +149,21 @@ def odometer_reference(k: int, max_len: int, budget: int, bound: int | None = No
             violates = starts == 1 and powers > 1 and (codes[0] != 0 or codes.count(0) != 1)
         else:
             violates = starts == 1 and powers > bound
-        if violates:
+        if violates or (starts == 1 and codes in refuted):
             return 1, checked, enumerated, codes, best, witness
         if starts == 1 and powers > best:
             best, witness = powers, codes
     return 0, checked, enumerated, None, best, witness
 
 
-def fine_wilf_reference(k: int, max_len: int, budget: int):
+def fine_wilf_reference(k: int, max_len: int, budget: int, refuted=frozenset()):
     """Reference for the fine-wilf kernel: walk every full word of length
     1..max_len over k letters in length-then-lex order, count each word
     produced against the budget before looking at it, and test the
     canonical ones on every pair p <= q of their strong periods, from the
-    defining quantifier. Returns the kernel's tuple (status, checked,
-    enumerated, counterexample, 0, None); full words track no power count.
+    defining quantifier; a canonical word in `refuted` is refuted too.
+    Returns the kernel's tuple (status, checked, enumerated,
+    counterexample, 0, None); full words track no power count.
     """
     checked = enumerated = 0
     for codes in all_code_tuples(max_len, k, holes=False):
@@ -173,6 +175,8 @@ def fine_wilf_reference(k: int, max_len: int, budget: int):
         if not is_canonical_codes(codes):
             continue
         checked += 1
+        if codes in refuted:
+            return 1, checked, enumerated, codes, 0, None
         periods = brute_strong_periods(codes)
         for p, q in itertools.combinations_with_replacement(periods, 2):
             g = math.gcd(p, q)

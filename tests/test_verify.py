@@ -4,6 +4,7 @@ budgets, determinism."""
 import copy
 import itertools
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -230,22 +231,55 @@ class TestOdometerReferenceGrid:
                     ), (r, n, budget)
 
 
+def _premise_words(k, max_len, r, full):
+    """(codes, powers) for every canonical word of length 1..max_len over
+    k letters, and holes unless `full`, whose r-th powers all start at one
+    position, in length-then-lex order; with r None, every canonical word
+    with powers 0."""
+    words = []
+    for codes in all_code_tuples(max_len, k, holes=not full):
+        if codes and is_canonical_codes(codes):
+            if r is None:
+                words.append((codes, 0))
+            else:
+                powers = brute_occurrences(codes, k, r)
+                if len({start for start, _ in powers}) == 1:
+                    words.append((codes, len(powers)))
+    return words
+
+
 class TestStartBoundedWalk:
-    """The tree walk behind the start-bounded verifiers, word by word."""
+    """The depth-first pass behind the four word-space verifiers, word by
+    word."""
 
     @pytest.mark.parametrize("k, max_len", [(1, 10), (2, 8), (3, 7), (4, 5)])
     def test_yields_every_premise_word(self, k, max_len):
-        # every canonical word whose r-th powers all start at one position,
-        # with its power count, in length-then-lex order; over holes and
-        # letters, and over letters only
-        for r, full in itertools.product((2, 3), (False, True)):
-            expected = []
-            for codes in all_code_tuples(max_len, k, holes=not full):
-                if is_canonical_codes(codes):
-                    powers = brute_occurrences(codes, k, r)
-                    if len({start for start, _ in powers}) == 1:
-                        expected.append((codes, len(powers)))
-            assert list(_kernels._start_bounded_words(r, k, int(full), max_len)) == expected, (r, full)
+        # the pass hands every premise word to violates exactly once, with
+        # its power count: each canonical word whose r-th powers all start
+        # at one position, over holes and letters and over letters only,
+        # and, with no exponent, each canonical full word
+        for r, full in [*itertools.product((2, 3), (False, True)), (None, True)]:
+            seen = []
+            _kernels._decide_start_bounded(
+                r, k, int(full), max_len, 10**8,
+                lambda codes, powers: seen.append((codes, powers)),
+            )
+            seen.sort(key=lambda entry: (len(entry[0]), entry[0]))
+            assert seen == _premise_words(k, max_len, r, full), (r, full)
+
+    def test_one_append_per_tree_node(self, monkeypatch):
+        # one pass: each node of the tree of full words with at most one
+        # 5th-power start, up to length 18, is scored once
+        append = _kernels._append
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return append(*args)
+
+        monkeypatch.setattr(_kernels, "_append", counting)
+        assert _kernels.corollary_full_kernel(5, 2, 18, 10**8)[0] == 0
+        assert calls[0] == 210055
 
     def test_walk_stops_where_the_tree_ends(self, monkeypatch):
         # binary premise words are finitely many, so past the tree's depth a
@@ -264,6 +298,64 @@ class TestStartBoundedWalk:
             assert _kernels.theorem_sq_kernel(2, n, 2, 3 ** (n + 1))[0] == 0
             counts.append(calls[0])
         assert counts[0] == counts[1] > 0
+
+
+class TestInjectedRefutationGrid:
+    """The pass against the odometer references with a few seeded premise
+    words refuted on top of each claim's own rule, at every grid budget.
+    Where the pass meets them out of odometer order, the kernel must still
+    return the least one, with best and witness taken only from the words
+    before it."""
+
+    @pytest.fixture
+    def refuted(self, monkeypatch):
+        # the words every verifier kernel refutes besides its own rule's
+        refuted = set()
+        decide = _kernels._decide_start_bounded
+        monkeypatch.setattr(
+            _kernels, "_decide_start_bounded",
+            lambda r, k, lo, max_len, budget, violates: decide(
+                r, k, lo, max_len, budget,
+                lambda codes, powers: codes in refuted or violates(codes, powers),
+            ),
+        )
+        return refuted
+
+    @staticmethod
+    def _cells(refuted, lengths, k, r, full):
+        # each max_len of the grid, with a few seeded premise words refuted
+        rng = random.Random(k * 10 + (r or 0))
+        for n in range(1, lengths[k] + 1):
+            words = [codes for codes, _ in _premise_words(k, n, r, full)]
+            refuted.clear()
+            refuted.update(rng.sample(words, min(3, len(words))))
+            yield n
+
+    @pytest.mark.parametrize("k", sorted(FULL_GRID_LENGTHS))
+    def test_fine_wilf(self, k, refuted):
+        for n in self._cells(refuted, FULL_GRID_LENGTHS, k, None, True):
+            for budget in GRID_BUDGETS:
+                assert _kernels.fine_wilf_kernel(k, n, budget) == (
+                    fine_wilf_reference(k, n, budget, refuted)
+                ), (n, budget, refuted)
+
+    @pytest.mark.parametrize("k", sorted(GRID_LENGTHS))
+    def test_theorem_sq(self, k, refuted):
+        for n in self._cells(refuted, GRID_LENGTHS, k, 2, False):
+            for bound in (1, k):
+                for budget in GRID_BUDGETS:
+                    assert _kernels.theorem_sq_kernel(k, n, bound, budget) == (
+                        odometer_reference(k, n, budget, bound, refuted=refuted)
+                    ), (n, bound, budget, refuted)
+
+    @pytest.mark.parametrize("k", sorted(FULL_GRID_LENGTHS))
+    def test_corollary_full(self, k, refuted):
+        for r in (2, 3, 4):
+            for n in self._cells(refuted, FULL_GRID_LENGTHS, k, r, True):
+                for budget in GRID_BUDGETS:
+                    assert _kernels.corollary_full_kernel(r, k, n, budget) == (
+                        odometer_reference(k, n, budget, r=r, full=True, refuted=refuted)
+                    ), (r, n, budget, refuted)
 
 
 def _doc(report):
@@ -295,13 +387,13 @@ class TestFailureBranches:
         }
 
     def test_corollary_full(self, monkeypatch):
-        # the real tree walk over full words, refuting `abba` (odometer
+        # the real pass over full words, refuting `abba` (odometer
         # position 21, the 14th canonical word)
         decide = _kernels._decide_start_bounded
         monkeypatch.setattr(
             _kernels, "_decide_start_bounded",
-            lambda k, lo, max_len, budget, walk, violates: decide(
-                k, lo, max_len, budget, walk, lambda codes, powers: codes == (1, 2, 2, 1)
+            lambda r, k, lo, max_len, budget, violates: decide(
+                r, k, lo, max_len, budget, lambda codes, powers: codes == (1, 2, 2, 1)
             ),
         )
         assert _doc(verify_corollary_full(2, 2, 6)) == {
@@ -316,13 +408,13 @@ class TestFailureBranches:
         }
 
     def test_lemma_h1(self, monkeypatch):
-        # the real tree walk, refuting `aa` (odometer position 8, the 6th
+        # the real pass, refuting `aa` (odometer position 8, the 6th
         # canonical word)
         decide = _kernels._decide_start_bounded
         monkeypatch.setattr(
             _kernels, "_decide_start_bounded",
-            lambda k, lo, max_len, budget, walk, violates: decide(
-                k, lo, max_len, budget, walk, lambda codes, squares: codes == (1, 1)
+            lambda r, k, lo, max_len, budget, violates: decide(
+                r, k, lo, max_len, budget, lambda codes, squares: codes == (1, 1)
             ),
         )
         assert _doc(verify_lemma_h1(2, 4)) == {
