@@ -4,12 +4,17 @@ Subcommands: analyze, construct, verify, search (plus `search table`).
 Exit codes: 0 success / claim verified, 1 claim refuted (counterexample
 printed), 2 usage, parse, or resource-budget errors. With --json exactly one
 JSON document is written to stdout, with a fixed key order so identical runs
-are byte-identical; no ANSI escapes are ever emitted.
+are byte-identical; no ANSI escapes are ever emitted. Every document is the
+text of json.dumps at a 2-space indent. analyze writes its profiles itself,
+from their occurrences with one row template (_profile_json): CPython before
+3.13 drops to a pure-Python encoder whenever an indent is set, which cost
+analyze most of its time; the other documents are a few hundred bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -36,61 +41,38 @@ from .verify import (
 )
 from .words import Alphabet, PartialWord, format_word, parse_word
 
-_INF = float("inf")
-
-
-def _json_text(doc, newline: str = "\n") -> str:
-    """The stdlib json encoder's text for doc at a 2-space indent, by its
-    type rules: str, None/True/False, int, float, list/tuple, dict.
-
-    CPython before 3.13 ignores its C encoder when an indent is set and walks
-    every value through a pure-Python generator; joining each container's
-    items here, with the C string escaper, builds the same text in about
-    half the time.
-    """
-    # containers first: nearly every value below the top is a dict or a
-    # list, and no class can be both a container and a scalar (their
-    # instance layouts conflict), so the order only matters among scalars.
-    # Plain ints, most of the values in an analyze document, are written
-    # without a call; bools and int subclasses take the scalar tests.
-    inner = newline + "  "
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        items = [
-            encode_basestring_ascii(k) + ": "
-            + (int.__repr__(v) if v.__class__ is int else _json_text(v, inner))
-            for k, v in doc.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        items = [int.__repr__(v) if v.__class__ is int else _json_text(v, inner) for v in doc]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(doc, str):
-        return encode_basestring_ascii(doc)
-    if doc is None:
-        return "null"
-    if doc is True:
-        return "true"
-    if doc is False:
-        return "false"
-    if isinstance(doc, int):
-        return int.__repr__(doc)
-    if isinstance(doc, float):
-        if doc != doc:
-            return "NaN"
-        if doc == _INF:
-            return "Infinity"
-        if doc == -_INF:
-            return "-Infinity"
-        return float.__repr__(doc)
-    raise TypeError(f"Object of type {doc.__class__.__name__} is not JSON serializable")
-
 
 def _print_json(doc) -> None:
-    sys.stdout.write(_json_text(doc) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _json_list(items, indent: str, pad: str) -> str:
+    # a JSON array of already written items, as json.dumps lays it out at
+    # indent 2: `indent` before each item, `pad` before the closing bracket
+    if not items:
+        return "[]"
+    return "[" + indent + ("," + indent).join(items) + pad + "]"
+
+
+def _profile_json(profile, pad: str) -> str:
+    """json.dumps(profile.to_json_dict(), indent=2) for a document whose
+    lines after the first start with `pad` (a newline and the enclosing
+    indent), written from the occurrences with one row template."""
+    i1 = pad + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    row = "{" + i3 + '"start": %d,' + i3 + '"length": %d' + i2 + "}"
+    unique = profile.unique_start
+    return (
+        "{" + i1 + '"word": ' + encode_basestring_ascii(format_word(profile.word))
+        + "," + i1 + '"r": %d' % profile.exponent
+        + "," + i1 + '"occurrences": '
+        + _json_list([row % (s, n) for s, n, _, _ in profile.occurrences], i2, i1)
+        + "," + i1 + '"startPositions": '
+        + _json_list(list(map(str, profile.start_positions)), i2, i1)
+        + "," + i1 + '"uniqueStart": ' + ("null" if unique is None else "%d" % unique)
+        + pad + "}"
+    )
 
 
 def _positions_set(positions) -> str:
@@ -237,7 +219,10 @@ def _run_analyze(args) -> int:
         if args.stdin
         else [(None, args.word)]
     )
-    profiles = []
+    # each profile is written as soon as it is found, and printed once every
+    # line has parsed, so an error leaves stdout empty
+    pad = "\n  " if args.stdin else "\n"
+    out = []
     for idx, text in texts:
         try:
             word = parse_word(text, alphabet)
@@ -245,12 +230,14 @@ def _run_analyze(args) -> int:
             where = f"line {idx}: " if args.stdin else ""
             print(f"analyze: {where}{exc}", file=sys.stderr)
             return 2
-        profiles.append(power_profile(word, args.r))
-    if args.json:
-        docs = [p.to_json_dict() for p in profiles]
-        _print_json(docs if args.stdin else docs[0])
+        profile = power_profile(word, args.r)
+        out.append(_profile_json(profile, pad) if args.json else _profile_text(profile))
+    if not args.json:
+        print("\n\n".join(out))
+    elif args.stdin:
+        print(_json_list(out, pad, "\n"))
     else:
-        print("\n\n".join(_profile_text(p) for p in profiles))
+        print(out[0])
     return 0
 
 

@@ -1,37 +1,25 @@
 """End-to-end command-line checks through real subprocesses: output shapes,
-exit codes, JSON round-trips, and run-to-run byte identity; plus the JSON
-writer against the stdlib encoder."""
+exit codes, JSON round-trips, and run-to-run byte identity; plus analyze's
+profile writer against the stdlib encoder."""
 
-import collections
 import json
-import math
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pwpowers import _kernels, cli
-from pwpowers.cli import _json_text
+from pwpowers import _kernels, cli, power_profile
+from helpers import class_occurrences, to_word, word
 
 PKG = [sys.executable, "-m", "pwpowers"]
-
-
-class _ListSubclass(list):
-    pass
-
-
-class _Pair(NamedTuple):
-    start: int
-    length: object
 
 
 def run_cli(*args, stdin=None):
@@ -111,6 +99,11 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "line 3:" in res.stderr
         assert "line 2" not in res.stderr
+        # with --json nothing is printed unless every line parses
+        res = run_cli("analyze", "--r", "2", "--stdin", "--json", stdin="abab\naaaa\nab?\n")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "line 3:" in res.stderr
 
     def test_word_and_stdin_are_exclusive(self):
         assert run_cli("analyze", "aa", "--r", "2", "--stdin").returncode == 2
@@ -118,6 +111,62 @@ class TestAnalyze:
 
     def test_bad_exponent(self):
         assert run_cli("analyze", "aa", "--r", "1").returncode == 2
+
+    def test_json_batch_matches_class_oracle(self):
+        # the expected document is built from the residue-class definition of
+        # a power, not from the scan, and written by the stdlib encoder
+        rng = random.Random(20)
+        texts = []
+        for _ in range(40):
+            holes = rng.random() / 2
+            texts.append("".join("." if rng.random() < holes else rng.choice("abc")
+                                 for _ in range(rng.randint(1, 60))))
+        docs = []
+        for text in texts:
+            rows = class_occurrences([".abc".index(ch) for ch in text], 3)
+            starts = sorted({s + 1 for s, _ in rows})
+            docs.append({
+                "word": text,
+                "r": 3,
+                "occurrences": [{"start": s + 1, "length": n} for s, n in rows],
+                "startPositions": starts,
+                "uniqueStart": starts[0] if len(starts) == 1 else None,
+            })
+        # the batch holds words with no start, with one and with several
+        assert {min(len(d["startPositions"]), 2) for d in docs} == {0, 1, 2}
+        res = run_cli("analyze", "--stdin", "--r", "3", "--json",
+                      stdin="\n".join(texts) + "\n")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == json.dumps(docs, indent=2) + "\n"
+
+
+# a partial word of length 0..40 over k = 1..4 letters, holes included, at
+# an exponent 2..5
+profiles = st.builds(
+    power_profile,
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.integers(0, k), max_size=40).map(lambda c: to_word(c, k))
+    ),
+    st.integers(2, 5),
+)
+
+
+class TestProfileJson:
+    """_profile_json, which writes analyze's --json profiles, against the
+    stdlib encoder on PowerProfile.to_json_dict, alone and in the --stdin
+    array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(profiles, max_size=3))
+    @example([])
+    @example([power_profile(word("ab"), 2)])  # no occurrence
+    @example([power_profile(word(".aba"), 2)])  # one start
+    @example([power_profile(word("aaa.a"), 2), power_profile(word("..b.....", 3), 3)])
+    def test_matches_stdlib(self, ps):
+        for p in ps:
+            assert cli._profile_json(p, "\n") == json.dumps(p.to_json_dict(), indent=2)
+        array = cli._json_list([cli._profile_json(p, "\n  ") for p in ps], "\n  ", "\n")
+        assert array == json.dumps([p.to_json_dict() for p in ps], indent=2)
 
 
 class TestConstruct:
@@ -427,30 +476,6 @@ def test_interpreted_cli_loads_no_numpy(tmp_path):
     assert res.stdout == "[[], [], [], []]\n"
 
 
-json_strings = st.text(
-    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2028\u20ac\U0001f600')
-    | st.characters()
-)
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.sampled_from([-(2**63), 2**64, -(10**40), 10**100])
-    | st.floats()
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320, 1e300])
-    | json_strings
-)
-json_documents = st.recursive(
-    json_scalars,
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.lists(children, max_size=4).map(tuple)
-        | st.dictionaries(json_strings, children, max_size=4)
-    ),
-    max_leaves=30,
-)
-
-
 @pytest.mark.parametrize("argv", [
     ("construct", "square-chain", "--k", "1", "--jobs", "2"),
     ("analyze", "abab", "--r", "2", "--budget", "5"),
@@ -468,28 +493,18 @@ def test_flags_exist_only_where_read(argv):
     assert base.returncode == 0 and base.stdout
 
 
-class TestJsonWriter:
-    """_json_text, which writes every --json document, against the stdlib."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(json_documents)
-    @example({"a": [], "b": {}, "c": (), "d": [[], {}, [[]]], "e": [1, True, -0.0]})
-    # subclasses of dict and list, tuples and named tuples must come out as
-    # the stdlib's, though the writer tests containers before scalars
-    @example(collections.OrderedDict([("b", 1), ("a", [2, {"c": None}])]))
-    @example(_ListSubclass([1, "x", _ListSubclass(), {"d": 2.5}]))
-    @example((1, (2, 3), (), {"e": ()}))
-    @example(_Pair(start=1, length=(2, [3])))
-    @example({"nested": [collections.OrderedDict(z=_Pair(0, 1)), _ListSubclass([()])]})
-    def test_matches_stdlib(self, doc):
-        assert _json_text(doc) == json.dumps(doc, indent=2)
-
-    @pytest.mark.parametrize("value", [{1, 2}, np.int64(3), [np.int32(1)], {"a": frozenset()}])
-    def test_rejects_what_stdlib_rejects(self, value):
-        with pytest.raises(TypeError):
-            json.dumps(value, indent=2)
-        with pytest.raises(TypeError):
-            _json_text(value)
+def test_json_documents_are_stdlib_text(capsys):
+    # every --json document but analyze's is json.dumps at a 2-space indent
+    for argv in (
+        ["verify", "theorem-sq", "--k", "2", "--max-len", "6", "--bound", "1"],
+        ["search", "--r", "3", "--k", "2", "--max-len", "9"],
+        ["search", "table", "--r-min", "2", "--r-max", "3", "--k-min", "1", "--k-max", "2",
+         "--max-len", "6"],
+        ["construct", "cube-examples"],
+    ):
+        assert cli.main([*argv, "--json"]) in (0, 1), argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def test_no_ansi_escapes_anywhere():
