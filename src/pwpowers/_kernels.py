@@ -372,7 +372,7 @@ def _unmark(marked_at, m, r):
         i -= r
 
 
-def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
+def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey, anchored=None):
     """Depth-first search over canonical extensions of `prefix`.
 
     Scores every strict extension (the prefix node itself belongs to the
@@ -395,6 +395,15 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
     together in one pass, with no barrier row and no start marks, and then
     counted, cut or kept one by one as any node is, so a run that spends
     its budget among them stops at the same node as a node-by-node walk.
+
+    With `anchored` = (floor, goal) the walk keeps only words whose r-th
+    powers all start at position 0, and t is unused. best starts at floor,
+    and a node is cut (counted in pruned_start_bound) when (a) a power
+    starts elsewhere, or (b) its count plus its open roots is at most best.
+    A root p is open when m < r*p <= max_len and w[:m] has no break pair
+    for p: such a pair would lie inside the window (0, r*p). Every node is
+    scored by `_append`, as the one-pass leaves carry no start marks, and
+    the walk stops, with status 0, at the first node scoring goal.
     """
     n = max_len
     pmax = n // r
@@ -418,7 +427,7 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
         occ[m] = occ[m - 1] + added
         nstarts[m] = nstarts[m - 1] + new_starts
 
-    best = -1
+    best = -1 if anchored is None else anchored[0]
     witnesses = []
     frontier = []
     nodes = 0
@@ -444,7 +453,7 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
             s = trial[d]
             mu = max_used[d]
             top = mu + 1 if mu < k else k
-            if d == n - 1:
+            if d == n - 1 and anchored is None:
                 # all children of w[:d] are leaves: score them in one pass
                 # over p, by _append's rule, with no barrier row and no
                 # marks. Window (i, r*p) ending at n is a power of a child
@@ -511,7 +520,18 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
                 occ[m] = occ[d] + added
                 nstarts[m] = nstarts[d] + new_starts
                 nodes += 1
-                if nstarts[m] > t:
+                if anchored is None:
+                    cut = nstarts[m] > t
+                else:
+                    # (a), then (b): the open roots p <= m are the -1 entries
+                    # of row m past m // r, and every p > m is open
+                    hi = m if m < pmax else pmax
+                    row = base[m]
+                    cut = nstarts[m] > (marked_at[0] != 0) or (
+                        occ[m] + bar[row + m // r + 1 : row + hi + 1].count(-1) + pmax - hi
+                        <= best
+                    )
+                if cut:
                     pruned_start += 1
                     if new_starts:
                         _unmark(marked_at, m, r)
@@ -522,6 +542,8 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
                         best = c
                         witnesses.clear()
                         witnesses.append(w[:m])
+                        if anchored is not None and c >= anchored[1]:
+                            break
                     elif c == best:
                         # nodes of one length arrive in lex order, so w[:m]
                         # goes before the first witness longer than m
@@ -532,8 +554,9 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey):
                             witnesses.insert(pos, w[:m])
                             if len(witnesses) > wcap:
                                 witnesses.pop()
-                    # m < n here: the leaves at depth n go by the pass above
-                    if mu < k:
+                    # the leaves at depth n have no children, and outside the
+                    # anchored walk they go by the pass above
+                    if mu < k and m < n:
                         pruned_sym += k - mu - 1
                     d = m
                     trial[d] = 0

@@ -180,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--k-max", type=int, required=True, metavar="K1")
     st.add_argument("--max-len", type=int, required=True, metavar="N")
     st.add_argument("--t", type=int, default=1, metavar="T")
-    st.add_argument("--witness-cap", type=int, default=4, metavar="C")
     st.add_argument("--csv", action="store_true", help="CSV instead of aligned text")
     _add_common(st, budget=DEFAULT_NODE_BUDGET, jobs=True)
 
@@ -332,7 +331,6 @@ def _run_search(args) -> int:
             range(args.k_min, args.k_max + 1),
             args.max_len,
             t=args.t,
-            witness_cap=args.witness_cap,
             budget=args.budget,
             jobs=args.jobs,
         )

@@ -5,14 +5,17 @@ The search walks the tree of canonical words (letters first appear in
 alphabetical order; holes are unaffected) by appending symbols, keeping
 occurrence counts incrementally. Appending can only add occurrences, so a
 prefix whose distinct starts already exceed the cap t can be cut without
-losing any optimum; that and the canonicality restriction are the only
-prunings.
+losing any optimum; `search_max_powers` prunes by that and by
+canonicality alone. `search table` decides its t=1 cells by a
+branch-and-bound over the words whose powers all start at position 1
+(`_anchored_optimum`), which reach the same optimum and first witness.
 
 Every node is scored by one engine, `_kernels.search_kernel`. A first call
 searches from the empty word down to a fixed prefix depth and lists the
 qualifying nodes of that depth; the subtrees below them are the partitions,
-one kernel call each, run in worker processes under --jobs (a table runs
-every cell's partitions through one process pool). Per-partition
+one kernel call each, run in worker processes under --jobs (a table at
+t >= 2 runs every cell's partitions through one process pool; its
+anchored t=1 cells run in this process). Per-partition
 node budgets are fixed up front and results are collected in partition
 order, so output is byte-identical for any choice of --jobs: the workers
 only change who executes which subtree, never what is explored.
@@ -209,6 +212,42 @@ def search_max_powers(
     )
 
 
+def _anchored_optimum(r: int, k: int, n: int, budget: int) -> SearchResult:
+    """The t=1 optimum over length <= n, by anchored branch-and-bound.
+
+    The suffix of a word from its one power start keeps every power and is
+    no longer, so the optimum is reached by words whose powers all start at
+    position 1, and every shortest best word is one. A first walk finds the
+    best count. Then, for L = 1, 2, ..., a walk over length <= L stops at
+    the first word reaching it, which is the lex-first at the least length:
+    the search's first witness. The node budget covers both phases; if it
+    runs out, the result holds the best count found and a word attaining it.
+    """
+    # a kernel's witnesses count only when its best passes its floor
+    status, nodes, pruned_sym, pruned, best, witnesses, _ = _kernels.search_kernel(
+        b"", n, k, r, 1, budget - 1, 1, False, (0, n // r)
+    )
+    nodes += 1  # the empty word
+    word, length = (witnesses[0] if best else ()), 1
+    while best and status == 0:
+        status, more, more_sym, more_pruned, reached, found, _ = _kernels.search_kernel(
+            b"", length, k, r, 1, budget - nodes, 1, False, (best - 1, best)
+        )
+        nodes, pruned_sym, pruned = nodes + more, pruned_sym + more_sym, pruned + more_pruned
+        if reached == best:
+            word = found[0]
+            break
+        length += 1
+    return SearchResult(
+        best_count=best,
+        witnesses=(PartialWord(word, Alphabet(k)),),
+        nodes_explored=nodes,
+        pruned_by_symmetry=pruned_sym,
+        pruned_by_start_bound=pruned,
+        exhaustive=status == 0,
+    )
+
+
 def known_bound(r: int, k: int) -> Optional[tuple[int, bool]]:
     """Established value for the maximum, as (value, exact): exact k for
     squares; for r >= 3 and k >= 2 a lower bound of 3 when r is an odd
@@ -252,32 +291,39 @@ def lower_bound_table(
     k_values: Sequence[int],
     max_len: int,
     t: int = 1,
-    witness_cap: int = 4,
     budget: int = DEFAULT_NODE_BUDGET,
     jobs: int = 1,
 ) -> List[TableCell]:
     """One bounded search per (r, k) cell, annotated with the established
     bound and flagged when the search exceeds it: "conflict" against an
     exact value (a bug), "new" against a lower bound (an improvement).
+    At t=1 a cell is decided in this process by `_anchored_optimum`, and
+    its result holds one witness; at t >= 2 by `search_max_powers`.
     Raises ValueError when either range is empty."""
     if not r_values:
         raise ValueError("exponent range is empty")
     if not k_values:
         raise ValueError("alphabet size range is empty")
+    _require_positive("budget", budget)
+    _require_positive("jobs", jobs)
     cells = []
-    # every cell runs its partitions through one pool, opened by the first
-    # cell that has more than one
+    # every t >= 2 cell runs its partitions through one pool, opened by the
+    # first cell that has more than one
     with _Workers() as workers:
         for r in r_values:
             for k in k_values:
+                # validates the cell at either t
                 query = SearchQuery(
                     exponent=r,
                     alphabet_size=k,
                     max_len=max_len,
                     max_start_positions=t,
-                    witness_cap=witness_cap,
+                    witness_cap=1,
                 )
-                result = search_max_powers(query, budget=budget, jobs=jobs, _workers=workers)
+                if t == 1:
+                    result = _anchored_optimum(r, k, max_len, budget)
+                else:
+                    result = search_max_powers(query, budget=budget, jobs=jobs, _workers=workers)
                 known = known_bound(r, k)
                 flag = ""
                 if known is not None and result.best_count > known[0]:

@@ -358,7 +358,8 @@ class TestSearch:
                         reason="the patched kernel reaches the workers only by fork")
     def test_dead_worker_is_one_error_line(self, monkeypatch, capsys):
         # a worker the OS kills (say, for memory) breaks the pool; the survey
-        # runs in this process, every partition in a worker
+        # runs in this process, every partition in a worker. A t=1 table
+        # opens no pool, so the table runs at t=2
         kernel, parent = _kernels.search_kernel, os.getpid()
 
         def dying_kernel(*args):
@@ -369,7 +370,7 @@ class TestSearch:
         monkeypatch.setattr(_kernels, "search_kernel", dying_kernel)
         for argv in (["search", "--r", "3", "--k", "2", "--max-len", "9"],
                      ["search", "table", "--r-min", "3", "--r-max", "4", "--k-min", "2",
-                      "--k-max", "2", "--max-len", "9"]):
+                      "--k-max", "2", "--max-len", "9", "--t", "2"]):
             code = cli.main([*argv, "--json", "--jobs", "2"])
             out, err = capsys.readouterr()
             assert (code, out) == (2, ""), argv
@@ -405,6 +406,20 @@ class TestSearch:
         assert rows[0]["knownExact"] is True
         assert rows[0]["flag"] == ""
         assert json.dumps(rows, indent=2) + "\n" == res.stdout
+
+    def test_table_huge_max_len_with_small_budget(self, capsys):
+        # the anchored route's state is sized by the depth its budget can
+        # reach, and its bound cut counts the open roots without a pass over
+        # max-len / r
+        started = time.perf_counter()
+        code = cli.main(["search", "table", "--r-min", "2", "--r-max", "2", "--k-min", "2",
+                         "--k-max", "2", "--max-len", "1000000000", "--budget", "50", "--json"])
+        elapsed = time.perf_counter() - started
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert elapsed < 1.0
+        (row,) = json.loads(out)
+        assert (row["bestCount"], row["witness"], row["exhaustive"]) == (2, ".aba", False)
 
     @pytest.mark.parametrize("bounds", [
         ("--r-min", "4", "--r-max", "3", "--k-min", "2", "--k-max", "2"),

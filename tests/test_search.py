@@ -15,11 +15,12 @@ from pwpowers import (
     search_max_powers,
 )
 from pwpowers._kernels import search_kernel
-from pwpowers.search import _PARTITION_DEPTH, _survey_prefixes
+from pwpowers.search import _PARTITION_DEPTH, _anchored_optimum, _survey_prefixes
 from helpers import (
     all_code_tuples,
     brute_occurrences,
     brute_search,
+    class_occurrences,
     is_canonical_codes,
     search_kernel_reference,
     to_word,
@@ -217,11 +218,12 @@ class TestDeterminismAndBudget:
 
     @pytest.mark.parametrize("jobs", [2, 10**6])
     def test_table_opens_one_pool(self, pool_sizes, jobs):
-        # every cell of the table runs its partitions through one pool, which
-        # the first cell with more than one partition opens at its own size
-        cells = [_query(r, k, 8) for r in range(2, 4) for k in range(1, 3)]
+        # every cell of a t >= 2 table runs its partitions through one pool,
+        # which the first cell with more than one partition opens at its own
+        # size (t=1 cells open none)
+        cells = [_query(r, k, 8, t=2) for r in range(2, 4) for k in range(1, 3)]
         counts = [len(_survey_prefixes(q, _PARTITION_DEPTH, 10**9)[1]) for q in cells]
-        table = lambda jobs: lower_bound_table(range(2, 4), range(1, 3), 8, jobs=jobs)
+        table = lambda jobs: lower_bound_table(range(2, 4), range(1, 3), 8, t=2, jobs=jobs)
         assert table(jobs) == table(1)
         assert pool_sizes == [min(jobs, next(c for c in counts if c > 1))]
 
@@ -337,3 +339,70 @@ class TestKnownBoundsAndTable:
             lower_bound_table(range(4, 3), [2], 4)
         with pytest.raises(ValueError, match="alphabet size range is empty"):
             lower_bound_table([2], [], 4)
+
+
+# (r, k, n): the cells that search table decides by anchored branch-and-bound
+# and search_max_powers by its exhaustive walk, in both at t=1
+ANCHORED_GRID = [
+    (r, k, n) for r in range(2, 7) for k in (1, 2, 3) for n in range(1, 11 if k == 3 else 13)
+]
+
+
+class TestAnchoredTable:
+    def test_matches_the_exhaustive_search(self):
+        # the shortest best words all start every power at position 1, so
+        # the anchored route must find search's best count and first witness
+        nodes = 0
+        for r, k, n in ANCHORED_GRID:
+            cell = lower_bound_table([r], [k], n)[0].result
+            expected = search_max_powers(_query(r, k, n, cap=1))
+            case = (r, k, n)
+            assert cell.exhaustive and expected.exhaustive, case
+            assert cell.best_count == expected.best_count, case
+            assert cell.witnesses == expected.witnesses[:1], case
+            nodes += cell.nodes_explored
+        # the exhaustive walk takes 1,946,991 nodes on this grid
+        assert len(ANCHORED_GRID) == 170
+        assert nodes == 5025
+
+    def test_squares_tree_is_finite(self):
+        # every anchored binary word with two or more squares is found among
+        # 39 nodes at any length, so none carries three squares at a unique
+        # start: the paper's bound at k=2, with no bound cut involved
+        for n in (20, 50, 200):
+            res = search_kernel(b"", n, 2, 2, 1, 10**6, 1, False, (0, n // 2))
+            assert (res[0], res[1], res[4]) == (0, 39, 2), n
+
+    @pytest.mark.parametrize("r, n, best, witness, flag, nodes", [
+        (2, 200, 2, ".aba", "", 56),
+        (4, 32, 4, "...abab.aba.baba.ba.baba.b.ab..a", "new", 26123),
+        (3, 39, 4, "..ababbaba.babaababbaba.babaababbaba.ba", "new", 80757),
+    ])
+    def test_far_cells(self, r, n, best, witness, flag, nodes):
+        # past the exhaustive search's reach; the witness is re-checked
+        # class by class, not with the scan
+        cell = lower_bound_table([r], [2], n)[0]
+        assert (cell.result.best_count, cell.flag, cell.result.exhaustive) == (best, flag, True)
+        assert cell.result.nodes_explored == nodes
+        assert [format_word(w) for w in cell.result.witnesses] == [witness]
+        rows = class_occurrences(word(witness).codes, r)
+        assert len(rows) == best
+        assert {start for start, _ in rows} == {0}
+
+    @pytest.mark.parametrize("r, n", [(3, 39), (4, 16), (2, 9)])
+    def test_budget_gives_a_word_attaining_the_bound(self, r, n):
+        # a budget that stops either phase still leaves a count that its
+        # witness attains, with every power at position 1
+        full = _anchored_optimum(r, 2, n, 10**9)
+        for budget in sorted({1, 2, 3, 10, 40, 300, 5000} | {full.nodes_explored - 1}):
+            if budget >= full.nodes_explored:
+                continue
+            res = _anchored_optimum(r, 2, n, budget)
+            assert not res.exhaustive and res.nodes_explored <= budget, budget
+            assert res.best_count <= full.best_count, budget
+            (witness,) = res.witnesses
+            assert len(witness) <= n, budget
+            rows = class_occurrences(witness.codes, r)
+            assert len(rows) == res.best_count, budget
+            assert {start for start, _ in rows} <= {0}, budget
+        assert _anchored_optimum(r, 2, n, full.nodes_explored) == full

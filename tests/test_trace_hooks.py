@@ -43,7 +43,8 @@ def test_notes_read_real_calls(trace):
     argvs = [
         ["analyze", ".abacaba", "--r", "2"],  # parse_word, power_profile, the scan
         ["verify", "theorem-sq", "--k", "2", "--max-len", "8"],
-        # search_max_powers is patched on its module, which `table` calls
+        # search_max_powers and its survey, patched on their module
+        ["search", "--r", "3", "--k", "2", "--max-len", "8"],
         ["search", "table", "--r-min", "3", "--r-max", "3", "--k-min", "2", "--k-max", "2",
          "--max-len", "8"],
     ]
