@@ -17,9 +17,11 @@ inside `search_kernel` keeps break pairs instead: two consecutive letters of
 one residue class mod p that differ, with only holes of that class between
 them. A window holds a differing pair of one class iff it holds a break
 pair (between two differing letters of a class, some two consecutive ones
-differ), so both forms accept the same windows. The independent checks of
-both scans, by explicit root construction and class by class, live in
-tests/helpers.py.
+differ), so both forms accept the same windows. `occurrence_scan` returns
+its occurrences as two int columns, starts and lengths, not as pairs: its
+callers read them column by column, and `analyze --json` writes them to
+text with no object per occurrence. The independent checks of both scans,
+by explicit root construction and class by class, live in tests/helpers.py.
 
 The search scores the leaves, the children of a node one symbol short of
 the maximum length, all in one pass over p from their parent's barrier
@@ -43,6 +45,7 @@ nothing.
 
 import math
 from itertools import compress, repeat
+from operator import floordiv, mod
 
 # read by perfbench, which reports it as the kernel backend
 NUMBA_ENABLED = False
@@ -53,9 +56,10 @@ _DEFINED = b"\0" + b"\x80" * 255
 
 
 def occurrence_scan(word, r):
-    # (start, length) of every r-th power occurrence, 0-indexed, in
-    # (start, length) order, which power_occurrences relies on. `word` is a
-    # byte view, bytes or an int list of codes below 128.
+    # every r-th power occurrence as two columns (starts, lengths), 0-indexed
+    # starts, in (start, length) order, which power_occurrences and
+    # cli._profile_json rely on; row i is (starts[i], lengths[i]). `word` is
+    # a byte view, bytes or an int list of codes below 128.
     #
     # Byte x of each int stands for position x (little-endian): W holds the
     # codes, D the bit 0x80 of every letter, D7 its bits 0x7f. At shift
@@ -69,7 +73,7 @@ def occurrence_scan(word, r):
     n = len(word)
     pmax = n // r
     if not pmax:
-        return []
+        return [], []
     b = bytes(word)
     W = int.from_bytes(b, "little")
     D = int.from_bytes(b.translate(_DEFINED), "little")
@@ -78,7 +82,8 @@ def occurrence_scan(word, r):
     more_t = range(r - 2)
     spread = []  # shifts by 1, 2, 4, .. positions below p, in bits
     top = 1  # largest power of two up to p
-    # rows are gathered as start * (n+1) + length, p by p, then sorted
+    # rows are gathered as start * (n+1) + length, p by p, then sorted and
+    # split into their two columns
     stride = n + 1
     keys = []
     for p in range(1, pmax + 1):
@@ -102,7 +107,7 @@ def occurrence_scan(word, r):
             flags = good.to_bytes(n - length + 1, "little")
             keys += compress(range(length, length + n * stride, stride), flags)
     keys.sort()
-    return list(map(divmod, keys, repeat(stride)))
+    return list(map(floordiv, keys, repeat(stride))), list(map(mod, keys, repeat(stride)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +413,16 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey, anchored=
     n = max_len
     pmax = n // r
     d0 = len(prefix)
-    # no node lies deeper than the prefix plus one symbol per node of budget
-    deep = min(n, d0 + node_budget + 1)
-    w = [0] * (deep + 1)
-    marked_at = [0] * (deep + 1)  # depth at which a start was first marked, or 0
-    max_used = [0] * (deep + 2)
-    occ = [0] * (deep + 2)
-    nstarts = [0] * (deep + 2)
-    trial = [0] * (deep + 2)
+    # per-depth lists, indexed by depth 0..size-1 (w and marked_at by
+    # position); they double as the walk first goes deeper, so memory
+    # follows the depth reached, not max_len
+    size = d0 + 2
+    w = [0] * size
+    marked_at = [0] * size  # depth at which a start was first marked, or 0
+    max_used = [0] * size
+    occ = [0] * size
+    nstarts = [0] * size
+    trial = [0] * size
     bar = [-1]  # barrier row 0: the empty word has no break pair
     base = [0]
 
@@ -513,6 +520,10 @@ def search_kernel(prefix, max_len, k, r, t, node_budget, wcap, survey, anchored=
                     break
                 w[d] = s
                 m = d + 1
+                if m == size:
+                    for column in (w, marked_at, max_used, occ, nstarts, trial):
+                        column += repeat(0, size)
+                    size += size
                 if s > mu:
                     mu = s
                 max_used[m] = mu

@@ -6,23 +6,25 @@ printed), 2 usage, parse, or resource-budget errors. With --json exactly one
 JSON document is written to stdout, with a fixed key order so identical runs
 are byte-identical; no ANSI escapes are ever emitted. Every document is the
 text of json.dumps at a 2-space indent. analyze writes its profiles itself,
-from their occurrences with one row template (_profile_json): CPython before
-3.13 drops to a pure-Python encoder whenever an indent is set, which cost
-analyze most of its time; the other documents are a few hundred bytes.
+straight from the scan's start and length columns with one row template
+(_profile_json): CPython before 3.13 drops to a pure-Python encoder whenever
+an indent is set, which cost analyze most of its time; the other documents
+are a few hundred bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from . import search
+from . import _kernels, search
 from .constructions import cube_examples, prop2_word, prop3_word, square_chain
 from .errors import PartialWordError, ResourceLimitError
-from .powers import power_profile
+from .powers import _validate_exponent, power_profile
 from .search import (
     DEFAULT_NODE_BUDGET,
     SearchQuery,
@@ -54,23 +56,33 @@ def _json_list(items, indent: str, pad: str) -> str:
     return "[" + indent + ("," + indent).join(items) + pad + "]"
 
 
-def _profile_json(profile, pad: str) -> str:
-    """json.dumps(profile.to_json_dict(), indent=2) for a document whose
-    lines after the first start with `pad` (a newline and the enclosing
-    indent), written from the occurrences with one row template."""
+def _profile_json(word: PartialWord, r: int, pad: str) -> str:
+    """json.dumps(power_profile(word, r).to_json_dict(), indent=2) for a
+    document whose lines after the first start with `pad` (a newline and the
+    enclosing indent), written straight from the scan's start and length
+    columns: every occurrence row of the word goes through one `%` over the
+    row template joined once per row, and no profile is built."""
+    _validate_exponent(r)
     i1 = pad + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
     row = "{" + i3 + '"start": %d,' + i3 + '"length": %d' + i2 + "}"
-    unique = profile.unique_start
+    # through its module, where tracing wraps it
+    starts, lengths = _kernels.occurrence_scan(word.codes, r)
+    starts = [s + 1 for s in starts]
+    flat = [0] * (2 * len(starts))  # start, length, start, length, ...
+    flat[0::2] = starts
+    flat[1::2] = lengths
+    positions = sorted(set(starts))
     return (
-        "{" + i1 + '"word": ' + encode_basestring_ascii(format_word(profile.word))
-        + "," + i1 + '"r": %d' % profile.exponent
+        "{" + i1 + '"word": ' + encode_basestring_ascii(format_word(word))
+        + "," + i1 + '"r": %d' % r
         + "," + i1 + '"occurrences": '
-        + _json_list([row % (s, n) for s, n, _, _ in profile.occurrences], i2, i1)
+        + _json_list([row] * len(starts), i2, i1) % tuple(flat)
         + "," + i1 + '"startPositions": '
-        + _json_list(list(map(str, profile.start_positions)), i2, i1)
-        + "," + i1 + '"uniqueStart": ' + ("null" if unique is None else "%d" % unique)
+        + _json_list(list(map(str, positions)), i2, i1)
+        + "," + i1 + '"uniqueStart": '
+        + ("%d" % positions[0] if len(positions) == 1 else "null")
         + pad + "}"
     )
 
@@ -229,8 +241,10 @@ def _run_analyze(args) -> int:
             where = f"line {idx}: " if args.stdin else ""
             print(f"analyze: {where}{exc}", file=sys.stderr)
             return 2
-        profile = power_profile(word, args.r)
-        out.append(_profile_json(profile, pad) if args.json else _profile_text(profile))
+        if args.json:
+            out.append(_profile_json(word, args.r, pad))
+        else:
+            out.append(_profile_text(power_profile(word, args.r)))
     if not args.json:
         print("\n\n".join(out))
     elif args.stdin:
@@ -402,12 +416,21 @@ def main(argv: Optional[list[str]] = None) -> int:
                          "given before 'table' is not read; table options go after it")
     try:
         if args.command == "analyze":
-            return _run_analyze(args)
-        if args.command == "construct":
-            return _run_construct(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        return _run_search(args)
+            code = _run_analyze(args)
+        elif args.command == "construct":
+            code = _run_construct(args)
+        elif args.command == "verify":
+            code = _run_verify(args)
+        else:
+            code = _run_search(args)
+        sys.stdout.flush()  # so that a reader gone early shows here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point stdout at the null
+        # device, so that the flush at exit raises nothing, and exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
     except ResourceLimitError as exc:
         print(f"pwpowers: {exc}", file=sys.stderr)
         return 2

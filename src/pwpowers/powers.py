@@ -100,15 +100,14 @@ class PowerProfile:
 def power_occurrences(w: PartialWord, r: int) -> List[PowerOccurrence]:
     """All r-th power occurrences, sorted by (start, length), 1-indexed."""
     _validate_exponent(r)
-    return [
-        PowerOccurrence(s + 1, L, r, L // r) for s, L in _kernels.occurrence_scan(w.codes, r)
-    ]
+    starts, lengths = _kernels.occurrence_scan(w.codes, r)
+    return [PowerOccurrence(s + 1, L, r, L // r) for s, L in zip(starts, lengths)]
 
 
 def start_positions(w: PartialWord, r: int) -> tuple[int, ...]:
     """Sorted distinct 1-indexed starts of r-th power occurrences."""
     _validate_exponent(r)
-    return tuple(sorted({s + 1 for s, _ in _kernels.occurrence_scan(w.codes, r)}))
+    return tuple(sorted({s + 1 for s in _kernels.occurrence_scan(w.codes, r)[0]}))
 
 
 def unique_start_position(w: PartialWord, r: int) -> Optional[int]:
@@ -121,7 +120,8 @@ def distinct_power_factors(w: PartialWord, r: int) -> int:
     """Number of distinct factors (as partial words) among the occurrences."""
     _validate_exponent(r)
     codes = w.codes
-    return len({codes[s : s + L].tobytes() for s, L in _kernels.occurrence_scan(codes, r)})
+    starts, lengths = _kernels.occurrence_scan(codes, r)
+    return len({codes[s : s + L].tobytes() for s, L in zip(starts, lengths)})
 
 
 def power_profile(w: PartialWord, r: int) -> PowerProfile:

@@ -29,7 +29,6 @@ from .powers import _validate_exponent, power_occurrences, power_profile
 from .words import Alphabet, PartialWord, _require_positive, format_word
 
 DEFAULT_CHECK_BUDGET = 10**8
-_MAX_FINE_WILF_LEN = 60
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,6 @@ def verify_fine_wilf(k: int, max_len: int, budget: int = DEFAULT_CHECK_BUDGET) -
     period gcd(p, q)."""
     alphabet = Alphabet(k)
     _require_positive("max_len", max_len)
-    if max_len > _MAX_FINE_WILF_LEN:
-        raise ValueError(f"max_len above {_MAX_FINE_WILF_LEN} is not supported")
 
     def context(word):
         p, q = _kernels._fine_wilf_refutation(word.codes.tolist())

@@ -13,8 +13,9 @@ per byte, which `PartialWord.codes` exposes as a read-only memoryview.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 from .errors import (
     IncompatibleError,
@@ -28,6 +29,12 @@ HOLE_INPUT_CHARS = frozenset({".", "◊"})  # ASCII dot or lozenge
 MAX_ALPHABET = 26
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _CODE_TO_CHAR = bytes.maketrans(bytes(range(MAX_ALPHABET + 1)), (HOLE_CHAR + _LETTERS).encode())
+# parse_word's input: every symbol character to the character of its code,
+# and the first character that is no symbol
+_CHAR_TO_CODE = str.maketrans(
+    {**dict.fromkeys(HOLE_INPUT_CHARS, 0), **{c: code for code, c in enumerate(_LETTERS, 1)}}
+)
+_NOT_SYMBOL = re.compile("[^" + "".join(HOLE_INPUT_CHARS) + "a-z]")
 
 
 @dataclass(frozen=True)
@@ -116,22 +123,19 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> PartialWord:
 
     Holes may be written ``.`` or ``◊``. When ``alphabet`` is omitted it is
     inferred as the largest letter index present (size 1 for words without
-    letters, including the empty word).
+    letters, including the empty word). Of an invalid character and a letter
+    outside ``alphabet``, the one at the earlier position is reported.
     """
-    codes: List[int] = []
-    for position, ch in enumerate(text, start=1):
-        if ch in HOLE_INPUT_CHARS:
-            codes.append(0)
-        elif "a" <= ch <= "z":
-            code = ord(ch) - ord("a") + 1
-            if alphabet is not None and code > alphabet.size:
-                raise LetterOutsideAlphabetError(position, ch, alphabet.size)
-            codes.append(code)
-        else:
-            raise InvalidCharacterError(position, ch)
-    if alphabet is None:
-        alphabet = Alphabet(max((c for c in codes if c), default=1))
-    return PartialWord(codes, alphabet)
+    bad = _NOT_SYMBOL.search(text)
+    symbols = text if bad is None else text[: bad.start()]
+    codes = symbols.translate(_CHAR_TO_CODE).encode("latin-1")
+    top = max(codes, default=0)
+    if alphabet is not None and top > alphabet.size:
+        position = next(i for i, c in enumerate(codes, start=1) if c > alphabet.size)
+        raise LetterOutsideAlphabetError(position, text[position - 1], alphabet.size)
+    if bad is not None:
+        raise InvalidCharacterError(bad.start() + 1, bad.group())
+    return PartialWord(codes, alphabet if alphabet is not None else Alphabet(max(top, 1)))
 
 
 def format_word(w: PartialWord) -> str:

@@ -16,11 +16,40 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from pwpowers import Alphabet, PartialWord, format_word, power_occurrences, parse_word
+from pwpowers import (
+    Alphabet,
+    InvalidCharacterError,
+    LetterOutsideAlphabetError,
+    PartialWord,
+    format_word,
+    parse_word,
+    power_occurrences,
+)
 
 
 def word(text: str, k: int | None = None) -> PartialWord:
     return parse_word(text, Alphabet(k) if k is not None else None)
+
+
+def parse_word_by_chars(text: str, alphabet: Alphabet | None = None) -> PartialWord:
+    """Reference for parse_word: one character at a time, raising at the
+    first character that is neither a hole ('.' or '◊') nor a letter a-z,
+    or is a letter outside `alphabet`; with no alphabet, the largest letter
+    present (at least a) sets its size."""
+    codes = []
+    for position, ch in enumerate(text, start=1):
+        if ch in ".◊":
+            codes.append(0)
+        elif "a" <= ch <= "z":
+            code = ord(ch) - ord("a") + 1
+            if alphabet is not None and code > alphabet.size:
+                raise LetterOutsideAlphabetError(position, ch, alphabet.size)
+            codes.append(code)
+        else:
+            raise InvalidCharacterError(position, ch)
+    if alphabet is None:
+        alphabet = Alphabet(max((c for c in codes if c), default=1))
+    return PartialWord(codes, alphabet)
 
 
 def to_word(codes: Iterable[int], k: int) -> PartialWord:

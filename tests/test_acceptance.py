@@ -221,7 +221,7 @@ def test_08_scan_routes_agree_on_random_words(report):
         codes = memoryview(rng.integers(0, k + 1, size=n).astype(np.uint8).tobytes())
         for r in (2, 3, 4):
             # the scan's own order must already be the sorted (start, length) order
-            got = _kernels.occurrence_scan(codes, r)
+            got = list(zip(*_kernels.occurrence_scan(codes, r)))
             ref = sorted(occurrence_scan_by_roots(codes, k, r))
             if got != ref:
                 mismatches += 1

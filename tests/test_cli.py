@@ -114,36 +114,37 @@ class TestAnalyze:
 
     def test_json_batch_matches_class_oracle(self):
         # the expected document is built from the residue-class definition of
-        # a power, not from the scan, and written by the stdlib encoder
+        # a power, not from the scan, and written by the stdlib encoder; the
+        # fixed words give each exponent a word with one power start
         rng = random.Random(20)
-        texts = []
+        texts = [".aba", "..aba.ba.", "...aba.."]
         for _ in range(40):
             holes = rng.random() / 2
             texts.append("".join("." if rng.random() < holes else rng.choice("abc")
                                  for _ in range(rng.randint(1, 60))))
-        docs = []
-        for text in texts:
-            rows = class_occurrences([".abc".index(ch) for ch in text], 3)
-            starts = sorted({s + 1 for s, _ in rows})
-            docs.append({
-                "word": text,
-                "r": 3,
-                "occurrences": [{"start": s + 1, "length": n} for s, n in rows],
-                "startPositions": starts,
-                "uniqueStart": starts[0] if len(starts) == 1 else None,
-            })
-        # the batch holds words with no start, with one and with several
-        assert {min(len(d["startPositions"]), 2) for d in docs} == {0, 1, 2}
-        res = run_cli("analyze", "--stdin", "--r", "3", "--json",
-                      stdin="\n".join(texts) + "\n")
-        assert res.returncode == 0, res.stderr
-        assert res.stdout == json.dumps(docs, indent=2) + "\n"
+        for r in (2, 3, 4):
+            docs = []
+            for text in texts:
+                rows = class_occurrences([".abc".index(ch) for ch in text], r)
+                starts = sorted({s + 1 for s, _ in rows})
+                docs.append({
+                    "word": text,
+                    "r": r,
+                    "occurrences": [{"start": s + 1, "length": n} for s, n in rows],
+                    "startPositions": starts,
+                    "uniqueStart": starts[0] if len(starts) == 1 else None,
+                })
+            # the batch holds words with no start, with one and with several
+            assert {min(len(d["startPositions"]), 2) for d in docs} == {0, 1, 2}, r
+            res = run_cli("analyze", "--stdin", "--r", str(r), "--json",
+                          stdin="\n".join(texts) + "\n")
+            assert res.returncode == 0, res.stderr
+            assert res.stdout == json.dumps(docs, indent=2) + "\n", r
 
 
-# a partial word of length 0..40 over k = 1..4 letters, holes included, at
+# a partial word of length 0..40 over k = 1..4 letters, holes included, and
 # an exponent 2..5
-profiles = st.builds(
-    power_profile,
+word_exponents = st.tuples(
     st.integers(1, 4).flatmap(
         lambda k: st.lists(st.integers(0, k), max_size=40).map(lambda c: to_word(c, k))
     ),
@@ -157,16 +158,17 @@ class TestProfileJson:
     array."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(profiles, max_size=3))
+    @given(st.lists(word_exponents, max_size=3))
     @example([])
-    @example([power_profile(word("ab"), 2)])  # no occurrence
-    @example([power_profile(word(".aba"), 2)])  # one start
-    @example([power_profile(word("aaa.a"), 2), power_profile(word("..b.....", 3), 3)])
-    def test_matches_stdlib(self, ps):
-        for p in ps:
-            assert cli._profile_json(p, "\n") == json.dumps(p.to_json_dict(), indent=2)
-        array = cli._json_list([cli._profile_json(p, "\n  ") for p in ps], "\n  ", "\n")
-        assert array == json.dumps([p.to_json_dict() for p in ps], indent=2)
+    @example([(word("ab"), 2)])  # no occurrence
+    @example([(word(".aba"), 2)])  # one start
+    @example([(word("aaa.a"), 2), (word("..b.....", 3), 3)])
+    def test_matches_stdlib(self, cases):
+        docs = [power_profile(w, r).to_json_dict() for w, r in cases]
+        for (w, r), doc in zip(cases, docs):
+            assert cli._profile_json(w, r, "\n") == json.dumps(doc, indent=2)
+        array = cli._json_list([cli._profile_json(w, r, "\n  ") for w, r in cases], "\n  ", "\n")
+        assert array == json.dumps(docs, indent=2)
 
 
 class TestConstruct:
@@ -267,8 +269,8 @@ class TestVerify:
 
 # every verify claim's pass case, the refuted --bound 1 probe, one budget
 # stop per claim and a validation error, plus fine-wilf over one letter at
-# the largest length, over three letters, under a negative budget and past
-# the largest length, each in text and --json, as the CLI printed them with
+# lengths 60 and 61 (past the cap it once had), over three letters and under
+# a negative budget, each in text and --json, as the CLI printed them with
 # the wall-clock fields masked
 VERIFY_GOLDEN = json.loads(
     (Path(__file__).parent / "verify_cli_golden.json").read_text(encoding="utf-8")
@@ -451,6 +453,25 @@ def test_out_of_memory_is_a_clean_exit(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "pwpowers: out of memory: Unable to allocate 53.6 GiB for an array\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "square-chain", "--k", "20"],  # 1 MiB on one line
+    ["analyze", "a" * 300, "--r", "2"],  # 22,650 occurrence lines
+    ["analyze", "a" * 300, "--r", "2", "--json"],
+])
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # the reader takes one byte and closes the pipe, as `| head -c 1` does;
+    # the output overflows the pipe's buffer, so the writer meets the close
+    proc = subprocess.Popen(PKG + argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    first = proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=600) == 2
+    assert first in (b".", b"w", b"{")
+    assert err == b""
 
 
 def test_cli_import_loads_no_pool():

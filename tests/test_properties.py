@@ -215,7 +215,8 @@ class TestCrossKernelAgreement:
             samples.append((rng.integers(0, k + 1, size=n).astype(np.uint8).tobytes(), k))
         for codes, k in samples:
             expected = sorted(occurrence_scan_by_roots(memoryview(codes), k, r))
-            assert _kernels.occurrence_scan(memoryview(codes), r) == expected, list(codes)
+            got = list(zip(*_kernels.occurrence_scan(memoryview(codes), r)))
+            assert got == expected, list(codes)
 
     def test_scan_matches_class_oracle_on_long_words(self):
         # the residue-class oracle reaches the lengths the root oracle
@@ -241,5 +242,5 @@ class TestCrossKernelAgreement:
             codes = np.where(holes, 0, rng.integers(1, k + 1, size=n))
             samples.append((tuple(int(c) for c in codes), r))
         for codes, r in samples:
-            got = _kernels.occurrence_scan(memoryview(bytes(codes)), r)
+            got = list(zip(*_kernels.occurrence_scan(memoryview(bytes(codes)), r)))
             assert got == class_occurrences(codes, r), (codes, r)

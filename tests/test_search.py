@@ -1,6 +1,8 @@
 """Exhaustive search: canonical enumeration, pruning soundness, witnesses,
 budgets, deterministic parallelism."""
 
+import tracemalloc
+
 import pytest
 
 from pwpowers import (
@@ -372,6 +374,19 @@ class TestAnchoredTable:
         for n in (20, 50, 200):
             res = search_kernel(b"", n, 2, 2, 1, 10**6, 1, False, (0, n // 2))
             assert (res[0], res[1], res[4]) == (0, 39, 2), n
+
+    def test_memory_follows_the_depth_reached(self):
+        # the 39-node tree at max_len 10^6 and the default budget: the
+        # kernel's per-depth state grows with the depth the walk reaches,
+        # never with max_len or the budget
+        tracemalloc.start()
+        try:
+            cell = lower_bound_table([2], [2], 10**6)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cell.result.best_count, cell.result.exhaustive) == (2, True)
+        assert peak < 5 * 10**6
 
     @pytest.mark.parametrize("r, n, best, witness, flag, nodes", [
         (2, 200, 2, ".aba", "", 56),

@@ -62,8 +62,6 @@ class TestFineWilf:
             verify_fine_wilf(0, 5)
         with pytest.raises(ValueError):
             verify_fine_wilf(2, 0)
-        with pytest.raises(ValueError):
-            verify_fine_wilf(2, 61)
 
 
 class TestCorollaryFull:

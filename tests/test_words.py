@@ -1,8 +1,12 @@
 """Core word type: parsing, factors, containment, compatibility, join,
 strong periodicity."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwpowers import (
     Alphabet,
@@ -11,6 +15,7 @@ from pwpowers import (
     LetterOutsideAlphabetError,
     OutOfRangeError,
     PartialWord,
+    PartialWordError,
     empty_word,
     factor,
     format_word,
@@ -21,7 +26,7 @@ from pwpowers import (
     parse_word,
     strong_periods,
 )
-from helpers import all_code_tuples, brute_strong_periods, to_word, word
+from helpers import all_code_tuples, brute_strong_periods, parse_word_by_chars, to_word, word
 
 
 class TestAlphabet:
@@ -85,6 +90,26 @@ class TestParseFormat:
             parse_word("abz", Alphabet(2))
         assert excinfo.value.position == 3
         assert excinfo.value.char == "z"
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.text(st.sampled_from([".", "◊", *string.ascii_lowercase, "A", "1", " ", "é"]),
+                max_size=30),
+        st.none() | st.integers(1, 26),
+    )
+    def test_matches_character_loop(self, text, k):
+        # the same word, or the same error class and message, as the
+        # character-by-character reference; invalid characters and letters
+        # outside a small alphabet both occur, in either order
+        alphabet = Alphabet(k) if k is not None else None
+
+        def outcome(parse):
+            try:
+                return parse(text, alphabet)
+            except PartialWordError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(parse_word) == outcome(parse_word_by_chars)
 
 
 class TestWordObject:
