@@ -13,18 +13,19 @@ branch-and-bound over the words whose powers all start at position 1
 Every node is scored by one engine, `_kernels.search_kernel`. A first call
 searches from the empty word down to a fixed prefix depth and lists the
 qualifying nodes of that depth; the subtrees below them are the partitions,
-one kernel call each, run in worker processes under --jobs (a table at
-t >= 2 runs every cell's partitions through one process pool; its
-anchored t=1 cells run in this process). Per-partition
-node budgets are fixed up front and results are collected in partition
-order, so output is byte-identical for any choice of --jobs: the workers
-only change who executes which subtree, never what is explored.
+one kernel call each. `_search_all` surveys every search it is given (one,
+or every cell of a table at t >= 2) before any partition runs, then runs
+all their partitions under --jobs in one process pool, sized by the search
+with the most partitions; anchored t=1 cells run in this process.
+Per-partition node budgets are fixed up front and results are collected in
+partition order, so output is byte-identical for any choice of --jobs: the
+workers only change who executes which subtree, never what is explored.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence
 
 from . import _kernels
@@ -125,91 +126,87 @@ def _run_partition(task):
     return _kernels.search_kernel(prefix, n, k, r, t, quota, wcap, False)[:6]
 
 
-class _Workers(contextlib.ExitStack):
-    """One process pool for the searches run inside a `with` block, opened
-    by the first `run` and at the size that call asks for; later calls
-    reuse it, and the block's exit shuts it down."""
+def _search_all(queries: Sequence[SearchQuery], budget: int, jobs: int) -> List[SearchResult]:
+    """Run the searches of `queries`, each under its own node budget.
 
-    pool = None
+    Every query is surveyed, and its partitions' node quotas fixed, before
+    any partition runs. Then every partition of every query runs, here or
+    in one process pool of min(jobs, the largest query's partition count).
+    """
+    plans = []
+    for q in queries:
+        survey, partitions = _survey_prefixes(q, min(q.max_len, _PARTITION_DEPTH), budget)
+        # a survey down to max_len leaves its partitions nothing to explore
+        if survey[0] != 0 or q.max_len <= _PARTITION_DEPTH:
+            partitions = []
+        remaining, count = budget - survey[1], len(partitions)
+        # the first remaining % count partitions get one node more
+        tasks = [
+            (prefix, q.max_len, q.alphabet_size, q.exponent, q.max_start_positions,
+             remaining // count + (i < remaining % count), q.witness_cap)
+            for i, prefix in enumerate(partitions)
+        ]
+        plans.append((q, survey, tasks))
 
-    def run(self, tasks, size):
-        """Run partition tasks in the pool, results in task order."""
+    tasks = [task for _, _, own in plans for task in own]
+    size = min(jobs, max(len(own) for _, _, own in plans))
+    if size <= 1:
+        outcomes = map(_run_partition, tasks)
+    else:
         # imported here so that no other command pays for loading them
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         try:
-            if self.pool is None:
-                # a fork-context pool starts all its workers at once
-                self.pool = self.enter_context(ProcessPoolExecutor(max_workers=size))
-            return list(self.pool.map(_run_partition, tasks))
+            # a fork-context pool starts all its workers at once
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                outcomes = iter(list(pool.map(_run_partition, tasks)))
         except BrokenExecutor as exc:
             raise ResourceLimitError(f"a search worker process died: {exc}") from exc
 
+    searches = []
+    for q, survey, own in plans:
+        results = [survey, *islice(outcomes, len(own))]
+        # the empty word scores 0 and is no kernel's node
+        best = max(0, *(res[4] for res in results))
+        witness_codes = {()} if best == 0 else set()
+        nodes = pruned_sym = pruned_start = 0
+        exhaustive = True
+        for status, p_nodes, p_sym, p_start, p_best, p_witnesses in results:
+            nodes += p_nodes
+            pruned_sym += p_sym
+            pruned_start += p_start
+            if status != 0:
+                exhaustive = False
+            if p_best == best:
+                witness_codes.update(map(tuple, p_witnesses))
+        ordered = sorted(witness_codes, key=lambda c: (len(c), c))[: q.witness_cap]
+        alphabet = Alphabet(q.alphabet_size)
+        searches.append(
+            SearchResult(
+                best_count=best,
+                witnesses=tuple(PartialWord(c, alphabet) for c in ordered),
+                nodes_explored=nodes,
+                pruned_by_symmetry=pruned_sym,
+                pruned_by_start_bound=pruned_start,
+                exhaustive=exhaustive,
+            )
+        )
+    return searches
+
 
 def search_max_powers(
-    query: SearchQuery,
-    budget: int = DEFAULT_NODE_BUDGET,
-    jobs: int = 1,
-    *,
-    _workers=None,
+    query: SearchQuery, budget: int = DEFAULT_NODE_BUDGET, jobs: int = 1
 ) -> SearchResult:
     """Maximize r-th power occurrences over words of length <= max_len with
     at most t distinct occurrence starts; ties among witnesses are resolved
     by shortest-then-lexicographic order and capped at witness_cap.
 
     When the node budget runs out the result still holds a valid lower
-    bound, flagged exhaustive=False. `_workers` is for lower_bound_table:
-    a `_Workers` that keeps one process pool open across its searches.
+    bound, flagged exhaustive=False.
     """
     _require_positive("budget", budget)
     _require_positive("jobs", jobs)
-    k, r, t, n = query.alphabet_size, query.exponent, query.max_start_positions, query.max_len
-    wcap = query.witness_cap
-    depth = min(n, _PARTITION_DEPTH)
-
-    survey, partitions = _survey_prefixes(query, depth, budget)
-
-    results = [survey]
-    if survey[0] == 0 and partitions:
-        remaining = budget - survey[1]
-        count = len(partitions)
-        # the first remaining % count partitions get one node more
-        tasks = [
-            (prefix, n, k, r, t, remaining // count + (i < remaining % count), wcap)
-            for i, prefix in enumerate(partitions)
-        ]
-        if jobs == 1 or count == 1:
-            results += map(_run_partition, tasks)
-        else:
-            with _Workers() as own:
-                workers = own if _workers is None else _workers
-                results += workers.run(tasks, min(jobs, count))
-
-    # the empty word scores 0 and is no kernel's node
-    best = max(0, *(res[4] for res in results))
-    witness_codes = {()} if best == 0 else set()
-    nodes = pruned_sym = pruned_start = 0
-    exhaustive = True
-    for status, p_nodes, p_sym, p_start, p_best, p_witnesses in results:
-        nodes += p_nodes
-        pruned_sym += p_sym
-        pruned_start += p_start
-        if status != 0:
-            exhaustive = False
-        if p_best == best:
-            witness_codes.update(map(tuple, p_witnesses))
-    ordered = sorted(witness_codes, key=lambda c: (len(c), c))[:wcap]
-    alphabet = Alphabet(k)
-    witnesses = tuple(PartialWord(c, alphabet) for c in ordered)
-
-    return SearchResult(
-        best_count=best,
-        witnesses=witnesses,
-        nodes_explored=nodes,
-        pruned_by_symmetry=pruned_sym,
-        pruned_by_start_bound=pruned_start,
-        exhaustive=exhaustive,
-    )
+    return _search_all([query], budget, jobs)[0]
 
 
 def _anchored_optimum(r: int, k: int, n: int, budget: int) -> SearchResult:
@@ -218,17 +215,20 @@ def _anchored_optimum(r: int, k: int, n: int, budget: int) -> SearchResult:
     The suffix of a word from its one power start keeps every power and is
     no longer, so the optimum is reached by words whose powers all start at
     position 1, and every shortest best word is one. A first walk finds the
-    best count. Then, for L = 1, 2, ..., a walk over length <= L stops at
-    the first word reaching it, which is the lex-first at the least length:
-    the search's first witness. The node budget covers both phases; if it
-    runs out, the result holds the best count found and a word attaining it.
+    best count. Then, for L = r * best, r * best + 1, ..., a walk over
+    length <= L stops at the first word reaching it, which is the lex-first
+    at the least length: the search's first witness. The node budget covers
+    both phases; if it runs out, the result holds the best count found and a
+    word attaining it.
     """
     # a kernel's witnesses count only when its best passes its floor
     status, nodes, pruned_sym, pruned, best, witnesses, _ = _kernels.search_kernel(
         b"", n, k, r, 1, budget - 1, 1, False, (0, n // r)
     )
     nodes += 1  # the empty word
-    word, length = (witnesses[0] if best else ()), 1
+    # best powers from one start have best distinct roots, the largest at
+    # least best long, so no word shorter than r * best reaches best
+    word, length = (witnesses[0] if best else ()), r * best
     while best and status == 0:
         status, more, more_sym, more_pruned, reached, found, _ = _kernels.search_kernel(
             b"", length, k, r, 1, budget - nodes, 1, False, (best - 1, best)
@@ -297,8 +297,10 @@ def lower_bound_table(
     """One bounded search per (r, k) cell, annotated with the established
     bound and flagged when the search exceeds it: "conflict" against an
     exact value (a bug), "new" against a lower bound (an improvement).
+    Every cell's query is built, and so validated, before any cell runs.
     At t=1 a cell is decided in this process by `_anchored_optimum`, and
-    its result holds one witness; at t >= 2 by `search_max_powers`.
+    its result holds one witness; at t >= 2 every cell is searched by
+    `_search_all`, whose one process pool serves the whole table.
     Raises ValueError when either range is empty."""
     if not r_values:
         raise ValueError("exponent range is empty")
@@ -306,36 +308,32 @@ def lower_bound_table(
         raise ValueError("alphabet size range is empty")
     _require_positive("budget", budget)
     _require_positive("jobs", jobs)
+    queries = [
+        SearchQuery(
+            exponent=r, alphabet_size=k, max_len=max_len, max_start_positions=t, witness_cap=1
+        )
+        for r in r_values
+        for k in k_values
+    ]
+    if t == 1:
+        results = [_anchored_optimum(q.exponent, q.alphabet_size, max_len, budget)
+                   for q in queries]
+    else:
+        results = _search_all(queries, budget, jobs)
     cells = []
-    # every t >= 2 cell runs its partitions through one pool, opened by the
-    # first cell that has more than one
-    with _Workers() as workers:
-        for r in r_values:
-            for k in k_values:
-                # validates the cell at either t
-                query = SearchQuery(
-                    exponent=r,
-                    alphabet_size=k,
-                    max_len=max_len,
-                    max_start_positions=t,
-                    witness_cap=1,
-                )
-                if t == 1:
-                    result = _anchored_optimum(r, k, max_len, budget)
-                else:
-                    result = search_max_powers(query, budget=budget, jobs=jobs, _workers=workers)
-                known = known_bound(r, k)
-                flag = ""
-                if known is not None and result.best_count > known[0]:
-                    flag = "conflict" if known[1] else "new"
-                cells.append(
-                    TableCell(
-                        exponent=r,
-                        alphabet_size=k,
-                        max_len=max_len,
-                        result=result,
-                        known=known,
-                        flag=flag,
-                    )
-                )
+    for q, result in zip(queries, results):
+        known = known_bound(q.exponent, q.alphabet_size)
+        flag = ""
+        if known is not None and result.best_count > known[0]:
+            flag = "conflict" if known[1] else "new"
+        cells.append(
+            TableCell(
+                exponent=q.exponent,
+                alphabet_size=q.alphabet_size,
+                max_len=max_len,
+                result=result,
+                known=known,
+                flag=flag,
+            )
+        )
     return cells

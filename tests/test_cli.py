@@ -348,13 +348,17 @@ class TestSearch:
         assert json.loads(base.stdout)["bestCount"] == 3
 
     def test_table_jobs_are_byte_identical(self):
-        # the cells share one pool of workers
-        argv = ("search", "table", "--r-min", "2", "--r-max", "4", "--k-min", "1",
-                "--k-max", "2", "--max-len", "9", "--json")
-        base = run_cli(*argv)
-        res = run_cli(*argv, "--jobs", "2")
-        assert (res.returncode, res.stdout) == (0, base.stdout)
-        assert len(json.loads(base.stdout)) == 6
+        # t=1 cells run in this process; at t=2 the cells share one pool of
+        # real worker processes, and the budgeted run stops inside it
+        for extra in ((), ("--t", "2"), ("--t", "2", "--budget", "3000")):
+            argv = ("search", "table", "--r-min", "2", "--r-max", "4", "--k-min", "1",
+                    "--k-max", "2", "--max-len", "9", "--json", *extra)
+            base = run_cli(*argv)
+            res = run_cli(*argv, "--jobs", "2")
+            assert (res.returncode, res.stdout) == (0, base.stdout), extra
+            cells = json.loads(base.stdout)
+            assert len(cells) == 6
+            assert all(c["exhaustive"] for c in cells) == ("--budget" not in extra), extra
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched kernel reaches the workers only by fork")
@@ -412,16 +416,18 @@ class TestSearch:
     def test_table_huge_max_len_with_small_budget(self, capsys):
         # the anchored route's state is sized by the depth its budget can
         # reach, and its bound cut counts the open roots without a pass over
-        # max-len / r
-        started = time.perf_counter()
-        code = cli.main(["search", "table", "--r-min", "2", "--r-max", "2", "--k-min", "2",
-                         "--k-max", "2", "--max-len", "1000000000", "--budget", "50", "--json"])
-        elapsed = time.perf_counter() - started
-        out, err = capsys.readouterr()
-        assert (code, err) == (0, "")
-        assert elapsed < 1.0
-        (row,) = json.loads(out)
-        assert (row["bestCount"], row["witness"], row["exhaustive"]) == (2, ".aba", False)
+        # max-len / r; its whole tree takes 50 nodes
+        for budget, exhaustive in (("40", False), ("49", False), ("50", True)):
+            started = time.perf_counter()
+            code = cli.main(["search", "table", "--r-min", "2", "--r-max", "2", "--k-min", "2",
+                             "--k-max", "2", "--max-len", "1000000000", "--budget", budget,
+                             "--json"])
+            elapsed = time.perf_counter() - started
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, ""), budget
+            assert elapsed < 1.0, budget
+            (row,) = json.loads(out)
+            assert (row["bestCount"], row["witness"], row["exhaustive"]) == (2, ".aba", exhaustive)
 
     @pytest.mark.parametrize("bounds", [
         ("--r-min", "4", "--r-max", "3", "--k-min", "2", "--k-max", "2"),

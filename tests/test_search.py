@@ -16,6 +16,7 @@ from pwpowers import (
     power_profile,
     search_max_powers,
 )
+from pwpowers import _kernels
 from pwpowers._kernels import search_kernel
 from pwpowers.search import _PARTITION_DEPTH, _anchored_optimum, _survey_prefixes
 from helpers import (
@@ -221,13 +222,33 @@ class TestDeterminismAndBudget:
     @pytest.mark.parametrize("jobs", [2, 10**6])
     def test_table_opens_one_pool(self, pool_sizes, jobs):
         # every cell of a t >= 2 table runs its partitions through one pool,
-        # which the first cell with more than one partition opens at its own
-        # size (t=1 cells open none)
+        # sized by the cell with the most partitions (t=1 cells open none)
         cells = [_query(r, k, 8, t=2) for r in range(2, 4) for k in range(1, 3)]
         counts = [len(_survey_prefixes(q, _PARTITION_DEPTH, 10**9)[1]) for q in cells]
         table = lambda jobs: lower_bound_table(range(2, 4), range(1, 3), 8, t=2, jobs=jobs)
         assert table(jobs) == table(1)
-        assert pool_sizes == [min(jobs, next(c for c in counts if c > 1))]
+        assert pool_sizes == [min(jobs, max(counts))]
+
+    @pytest.mark.parametrize("r, k", [(2, 2), (3, 3)])
+    def test_no_pool_when_the_survey_covers_the_tree(self, pool_sizes, r, k):
+        # at max_len <= the partition depth every partition is a leaf of
+        # the survey, with nothing below it to run
+        for n in range(1, _PARTITION_DEPTH + 1):
+            for t in (1, 2):
+                query = _query(r, k, n, t=t)
+                assert search_max_powers(query, jobs=2) == search_max_powers(query, jobs=1)
+            assert lower_bound_table([r], [k], n, t=2, jobs=2) == lower_bound_table(
+                [r], [k], n, t=2, jobs=1
+            )
+        assert pool_sizes == []
+
+    def test_table_validates_every_cell_first(self, monkeypatch):
+        # k=27 is past the alphabet, so no cell may run before it fails
+        calls = []
+        monkeypatch.setattr(_kernels, "search_kernel", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="alphabet"):
+            lower_bound_table([2], range(25, 28), 6, t=2)
+        assert calls == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -365,7 +386,7 @@ class TestAnchoredTable:
             nodes += cell.nodes_explored
         # the exhaustive walk takes 1,946,991 nodes on this grid
         assert len(ANCHORED_GRID) == 170
-        assert nodes == 5025
+        assert nodes == 4035
 
     def test_squares_tree_is_finite(self):
         # every anchored binary word with two or more squares is found among
@@ -389,9 +410,9 @@ class TestAnchoredTable:
         assert peak < 5 * 10**6
 
     @pytest.mark.parametrize("r, n, best, witness, flag, nodes", [
-        (2, 200, 2, ".aba", "", 56),
-        (4, 32, 4, "...abab.aba.baba.ba.baba.b.ab..a", "new", 26123),
-        (3, 39, 4, "..ababbaba.babaababbaba.babaababbaba.ba", "new", 80757),
+        (2, 200, 2, ".aba", "", 50),
+        (4, 32, 4, "...abab.aba.baba.ba.baba.b.ab..a", "new", 26093),
+        (3, 39, 4, "..ababbaba.babaababbaba.babaababbaba.ba", "new", 80735),
     ])
     def test_far_cells(self, r, n, best, witness, flag, nodes):
         # past the exhaustive search's reach; the witness is re-checked
@@ -403,6 +424,22 @@ class TestAnchoredTable:
         rows = class_occurrences(word(witness).codes, r)
         assert len(rows) == best
         assert {start for start, _ in rows} == {0}
+
+    @pytest.mark.parametrize("r, n", [(3, 12), (6, 12), (2, 200), (3, 39)])
+    def test_deepening_starts_at_r_times_best(self, monkeypatch, r, n):
+        # best powers from one start have best distinct roots, so the walks
+        # that look for the least length start at length r * best
+        kernel, lengths = _kernels.search_kernel, []
+
+        def recording_kernel(prefix, max_len, *args):
+            if args[-1][0] > 0:  # a least-length walk: its floor is best - 1
+                lengths.append(max_len)
+            return kernel(prefix, max_len, *args)
+
+        monkeypatch.setattr(_kernels, "search_kernel", recording_kernel)
+        best = _anchored_optimum(r, 2, n, 10**9).best_count
+        assert lengths[0] == r * best
+        assert lengths == list(range(r * best, r * best + len(lengths)))
 
     @pytest.mark.parametrize("r, n", [(3, 39), (4, 16), (2, 9)])
     def test_budget_gives_a_word_attaining_the_bound(self, r, n):
