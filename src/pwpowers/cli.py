@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import _kernels, search
 from .constructions import cube_examples, prop2_word, prop3_word, square_chain
-from .errors import PartialWordError, ResourceLimitError
+from .errors import BadExponentError, PartialWordError, ResourceLimitError
 from .powers import _validate_exponent, power_profile
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -262,7 +262,11 @@ def _run_construct(args) -> int:
         words = [prop2_word(args.r)]
         parameters = {"r": args.r}
     elif args.generator == "prop3":
-        words = [prop3_word(args.r, unchecked=args.unchecked)]
+        try:
+            words = [prop3_word(args.r, unchecked=args.unchecked)]
+        except BadExponentError as exc:
+            # the hint names the flag that sets prop3_word's keyword
+            raise BadExponentError(str(exc).replace("unchecked=True", "--unchecked")) from None
         parameters = {"r": args.r, "unchecked": args.unchecked}
     else:
         words = cube_examples()

@@ -9,12 +9,11 @@ r-th power, keyed by its 1-indexed start and its length (a multiple of r).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 from . import _kernels
 from .errors import NotAPowerError
-from .words import Alphabet, PartialWord, _require_positive, format_word, is_strong_periodic
+from .words import PartialWord, _Record, _require_positive, format_word, is_strong_periodic
 
 DEFAULT_ROOT_CAP = 64
 
@@ -75,15 +74,20 @@ class PowerOccurrence(NamedTuple):
     root_length: int
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(_Record):
     """Everything the analyzer reports about one word and one exponent."""
 
-    word: PartialWord
-    exponent: int
-    occurrences: tuple[PowerOccurrence, ...]
-    start_positions: tuple[int, ...]
-    unique_start: Optional[int]
+    __slots__ = ("word", "exponent", "occurrences", "start_positions", "unique_start")
+
+    def __init__(
+        self,
+        word: PartialWord,
+        exponent: int,
+        occurrences: tuple[PowerOccurrence, ...],
+        start_positions: tuple[int, ...],
+        unique_start: Optional[int],
+    ):
+        self._set(word, exponent, occurrences, start_positions, unique_start)
 
     def to_json_dict(self) -> dict:
         return {

@@ -24,14 +24,13 @@ workers only change who executes which subtree, never what is explored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Sequence
 
 from . import _kernels
 from .errors import ResourceLimitError
 from .powers import _validate_exponent
-from .words import Alphabet, PartialWord, _require_positive, format_word
+from .words import Alphabet, PartialWord, _Record, _require_positive, format_word
 
 DEFAULT_NODE_BUDGET = 10**9
 _PARTITION_DEPTH = 4
@@ -61,33 +60,43 @@ def is_canonical(w: PartialWord) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SearchQuery:
+class SearchQuery(_Record):
     """Parameters of one search: exponent r, alphabet size k, maximum word
     length, cap t on distinct occurrence starts, and the witness list cap."""
 
-    exponent: int
-    alphabet_size: int
-    max_len: int
-    max_start_positions: int = 1
-    witness_cap: int = 16
+    __slots__ = ("exponent", "alphabet_size", "max_len", "max_start_positions", "witness_cap")
 
-    def __post_init__(self):
-        _validate_exponent(self.exponent)
-        Alphabet(self.alphabet_size)
-        _require_positive("max_len", self.max_len)
-        _require_positive("max_start_positions", self.max_start_positions)
-        _require_positive("witness_cap", self.witness_cap)
+    def __init__(
+        self,
+        exponent: int,
+        alphabet_size: int,
+        max_len: int,
+        max_start_positions: int = 1,
+        witness_cap: int = 16,
+    ):
+        _validate_exponent(exponent)
+        Alphabet(alphabet_size)
+        _require_positive("max_len", max_len)
+        _require_positive("max_start_positions", max_start_positions)
+        _require_positive("witness_cap", witness_cap)
+        self._set(exponent, alphabet_size, max_len, max_start_positions, witness_cap)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    best_count: int
-    witnesses: tuple[PartialWord, ...]
-    nodes_explored: int
-    pruned_by_symmetry: int
-    pruned_by_start_bound: int
-    exhaustive: bool
+class SearchResult(_Record):
+    __slots__ = ("best_count", "witnesses", "nodes_explored", "pruned_by_symmetry",
+                 "pruned_by_start_bound", "exhaustive")
+
+    def __init__(
+        self,
+        best_count: int,
+        witnesses: tuple[PartialWord, ...],
+        nodes_explored: int,
+        pruned_by_symmetry: int,
+        pruned_by_start_bound: int,
+        exhaustive: bool,
+    ):
+        self._set(best_count, witnesses, nodes_explored, pruned_by_symmetry,
+                  pruned_by_start_bound, exhaustive)
 
     def to_json_dict(self) -> dict:
         return {
@@ -259,14 +268,19 @@ def known_bound(r: int, k: int) -> Optional[tuple[int, bool]]:
     return None
 
 
-@dataclass(frozen=True)
-class TableCell:
-    exponent: int
-    alphabet_size: int
-    max_len: int
-    result: SearchResult
-    known: Optional[tuple[int, bool]]
-    flag: str  # "" | "new" | "conflict"
+class TableCell(_Record):
+    __slots__ = ("exponent", "alphabet_size", "max_len", "result", "known", "flag")
+
+    def __init__(
+        self,
+        exponent: int,
+        alphabet_size: int,
+        max_len: int,
+        result: SearchResult,
+        known: Optional[tuple[int, bool]],
+        flag: str,  # "" | "new" | "conflict"
+    ):
+        self._set(exponent, alphabet_size, max_len, result, known, flag)
 
     def to_json_dict(self) -> dict:
         known_value = None if self.known is None else self.known[0]

@@ -19,42 +19,53 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _kernels
 from .constructions import cube_examples, prop2_word, prop3_word, square_chain
 from .errors import ResourceLimitError
 from .powers import _validate_exponent, power_occurrences, power_profile
-from .words import Alphabet, PartialWord, _require_positive, format_word
+from .words import Alphabet, PartialWord, _Record, _require_positive, format_word
 
 DEFAULT_CHECK_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    word: PartialWord
-    context: dict
+class Counterexample(_Record):
+    __slots__ = ("word", "context")
+
+    def __init__(self, word: PartialWord, context: dict):
+        self._set(word, context)
 
     def to_json_dict(self) -> dict:
         return {"word": format_word(self.word), "context": dict(self.context)}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one bounded exhaustive check.
 
     `elapsed_seconds` is excluded from equality so identical runs compare
-    equal regardless of wall-clock noise.
+    equal regardless of wall-clock noise. `findings` defaults to a new
+    empty dict.
     """
 
-    claim: str
-    parameters: dict
-    instances_checked: int
-    outcome: str  # "pass" | "fail"
-    counterexample: Optional[Counterexample]
-    findings: dict = field(default_factory=dict)
-    elapsed_seconds: float = field(default=0.0, compare=False)
+    __slots__ = ("claim", "parameters", "instances_checked", "outcome", "counterexample",
+                 "findings", "elapsed_seconds")
+
+    def __init__(
+        self,
+        claim: str,
+        parameters: dict,
+        instances_checked: int,
+        outcome: str,  # "pass" | "fail"
+        counterexample: Optional[Counterexample],
+        findings: Optional[dict] = None,
+        elapsed_seconds: float = 0.0,
+    ):
+        self._set(claim, parameters, instances_checked, outcome, counterexample,
+                  {} if findings is None else findings, elapsed_seconds)
+
+    def _key(self) -> tuple:
+        return self._values()[:-1]
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,6 @@ per byte, which `PartialWord.codes` exposes as a read-only memoryview.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -37,15 +36,60 @@ _CHAR_TO_CODE = str.maketrans(
 _NOT_SYMBOL = re.compile("[^" + "".join(HOLE_INPUT_CHARS) + "a-z]")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """Base of the package's immutable value types, a frozen dataclass in
+    all but its import cost.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` stores them once through ``_set``. Equality and hash
+    read the tuple of the fields in ``_key`` (every field unless overridden)
+    and hold only between instances of the same class; repr shows every
+    field; assignment and deletion raise AttributeError; pickle and deepcopy
+    call the constructor again with the fields.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._values())
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Record):
     """An ordered alphabet of the first ``size`` lowercase letters."""
 
-    size: int
+    __slots__ = ("size",)
 
-    def __post_init__(self):
-        if not isinstance(self.size, int) or not 1 <= self.size <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, got {self.size!r}")
+    def __init__(self, size: int):
+        if not isinstance(size, int) or not 1 <= size <= MAX_ALPHABET:
+            raise ValueError(f"alphabet size must be in 1..{MAX_ALPHABET}, got {size!r}")
+        self._set(size)
 
     def letters(self) -> str:
         return _LETTERS[: self.size]

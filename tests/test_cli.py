@@ -190,6 +190,15 @@ class TestConstruct:
         assert res.stdout == ".....aba....baa...\n"
         assert run_cli("construct", "prop3", "--r", "2", "--unchecked").returncode == 2
 
+    def test_prop3_gate_names_the_flag(self):
+        # the hint names the CLI flag, not prop3_word's keyword
+        res = run_cli("construct", "prop3", "--r", "4")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == (
+            "pwpowers: exponent must be an odd multiple of 3 (3, 9, 15, ...), got 4; "
+            "pass --unchecked to emit the formula word anyway\n"
+        )
+
     def test_cube_examples(self):
         res = run_cli("construct", "cube-examples")
         assert res.returncode == 0
@@ -492,16 +501,18 @@ def test_cli_import_loads_no_pool():
     assert res.stdout == "[]\n"
 
 
-def test_interpreted_cli_loads_no_numpy(tmp_path):
-    # the package imports neither numpy, which would cost most of an
-    # interpreted command's start-up, nor numba: a numba that is first on
-    # the path fails any import of it
+def test_interpreted_cli_loads_no_heavy_modules(tmp_path):
+    # no command loads a module that would cost much of its start-up: not
+    # numpy; not dataclasses, whose import pulls in inspect (and with it
+    # ast, dis and tokenize) and whose every decorated class execs new
+    # methods; nor numba, which fails any import when first on the path
     (tmp_path / "numba").mkdir()
     (tmp_path / "numba" / "__init__.py").write_text("raise RuntimeError('numba imported')\n")
     code = (
         "import contextlib, io, sys\n"
         "import pwpowers.cli as cli\n"
-        "heavy = lambda: sorted({'numpy', 'numba'} & sys.modules.keys())\n"
+        "heavy = lambda: sorted({'numpy', 'numba', 'dataclasses', 'inspect'}\n"
+        "                       & sys.modules.keys())\n"
         "loaded = [heavy()]\n"
         "for argv in (['analyze', '.abacaba', '--r', '2'],\n"
         "             ['verify', 'theorem-sq', '--k', '2', '--max-len', '8'],\n"

@@ -18,9 +18,16 @@ from helpers import (
     odometer_reference,
 )
 from pwpowers import (
+    Alphabet,
+    Counterexample,
     ResourceLimitError,
+    SearchQuery,
+    SearchResult,
+    TableCell,
+    VerificationReport,
     _kernels,
     format_word,
+    parse_word,
     power_profile,
     strong_periods,
     verify_construction,
@@ -512,7 +519,8 @@ class TestReportShape:
         assert (len(w) // 2) in strong_periods(w)
 
     def test_values_pickle_and_deepcopy(self):
-        # callers may copy results or hand them to other processes
+        # callers may copy results or hand them to other processes, and
+        # compare, hash and print them as frozen records
         report = verify_theorem_sq_bound(2, 6, bound=1)
         word = report.counterexample.word
         for value in (word, power_profile(word, 2), report):
@@ -521,3 +529,76 @@ class TestReportShape:
                 assert twin == value
         twin = pickle.loads(pickle.dumps(word))
         assert (str(twin), hash(twin)) == (".aba", hash(word))
+
+        def records():
+            # one value of every public record type, built by keyword with
+            # the defaults left out
+            k2 = Alphabet(size=2)
+            w = parse_word(".aba", k2)
+            result = SearchResult(best_count=2, witnesses=(w,), nodes_explored=9,
+                                  pruned_by_symmetry=1, pruned_by_start_bound=3, exhaustive=True)
+            cex = Counterexample(word=w, context={"squares": 2})
+            return [
+                k2,
+                power_profile(w, 2),
+                SearchQuery(exponent=3, alphabet_size=2, max_len=8),
+                result,
+                TableCell(exponent=3, alphabet_size=2, max_len=8, result=result,
+                          known=(2, False), flag=""),
+                cex,
+                VerificationReport(claim="theorem-sq", parameters={"k": 2}, instances_checked=5,
+                                   outcome="fail", counterexample=cex),
+            ]
+
+        word_text = "PartialWord('.aba', k=2)"
+        result_text = (f"SearchResult(best_count=2, witnesses=({word_text},), nodes_explored=9, "
+                       "pruned_by_symmetry=1, pruned_by_start_bound=3, exhaustive=True)")
+        cex_text = f"Counterexample(word={word_text}, context={{'squares': 2}})"
+        # each record's repr, then its fields in constructor order
+        expected = [
+            ("Alphabet(size=2)", ("size",)),
+            (f"PowerProfile(word={word_text}, exponent=2, occurrences=("
+             "PowerOccurrence(start=1, length=2, exponent=2, root_length=1), "
+             "PowerOccurrence(start=1, length=4, exponent=2, root_length=2)), "
+             "start_positions=(1,), unique_start=1)",
+             ("word", "exponent", "occurrences", "start_positions", "unique_start")),
+            ("SearchQuery(exponent=3, alphabet_size=2, max_len=8, max_start_positions=1, "
+             "witness_cap=16)",
+             ("exponent", "alphabet_size", "max_len", "max_start_positions", "witness_cap")),
+            (result_text, ("best_count", "witnesses", "nodes_explored", "pruned_by_symmetry",
+                           "pruned_by_start_bound", "exhaustive")),
+            (f"TableCell(exponent=3, alphabet_size=2, max_len=8, result={result_text}, "
+             "known=(2, False), flag='')",
+             ("exponent", "alphabet_size", "max_len", "result", "known", "flag")),
+            (cex_text, ("word", "context")),
+            ("VerificationReport(claim='theorem-sq', parameters={'k': 2}, instances_checked=5, "
+             f"outcome='fail', counterexample={cex_text}, findings={{}}, elapsed_seconds=0.0)",
+             ("claim", "parameters", "instances_checked", "outcome", "counterexample",
+              "findings", "elapsed_seconds")),
+        ]
+        for value, same, (text, fields) in zip(records(), records(), expected, strict=True):
+            assert repr(value) == text
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert type(twin) is type(value)
+                assert twin == value and repr(twin) == text
+            assert same == value and same is not value
+            if isinstance(value, (Counterexample, VerificationReport)):
+                # they hold dicts
+                with pytest.raises(TypeError):
+                    hash(value)
+            else:
+                assert hash(same) == hash(value)
+            # a record is not the tuple of its fields
+            as_tuple = tuple(getattr(value, name) for name in fields)
+            assert (value == as_tuple) is False and value != as_tuple
+            with pytest.raises(AttributeError):
+                setattr(value, fields[0], same)
+            with pytest.raises(AttributeError):
+                delattr(value, fields[0])
+            assert repr(value) == text  # the refused writes changed nothing
+        # each report gets its own findings dict, and equality ignores the clock
+        report, again = records()[-1], records()[-1]
+        assert report.findings is not again.findings
+        slower = VerificationReport(report.claim, report.parameters, report.instances_checked,
+                                    report.outcome, report.counterexample, elapsed_seconds=1.5)
+        assert slower == report and slower.elapsed_seconds == 1.5
