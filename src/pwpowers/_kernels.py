@@ -68,8 +68,9 @@ def occurrence_scan(word, r):
     # C_t marks every differing pair (x, x+t*p). Window (i, r*p) is a power
     # iff no C_t, t = 1..r-1, marks an x in [i, i + (r-t)*p), so Q_t, the OR
     # of C_1..C_t, is folded over those spans by p-shifts (Y = Y>>8p | Q_t)
-    # and spread over p positions by doubling shifts. The zero bytes of Y
-    # among the starts 0..n-r*p are the power starts for p.
+    # and spread over p positions by doubling shifts. `valid` marks the
+    # starts 0..n-r*p, shifted down r positions per p; those whose byte of Y
+    # is zero are the power starts for p.
     n = len(word)
     pmax = n // r
     if not pmax:
@@ -78,7 +79,8 @@ def occurrence_scan(word, r):
     W = int.from_bytes(b, "little")
     D = int.from_bytes(b.translate(_DEFINED), "little")
     D7 = D - (D >> 7)
-    every = int.from_bytes(b"\x80" * n, "little")  # bit 0x80 of every position
+    rb = r << 3
+    valid = int.from_bytes(b"\x80" * (n - r + 1), "little")  # p = 1
     more_t = range(r - 2)
     spread = []  # shifts by 1, 2, 4, .. positions below p, in bits
     top = 1  # largest power of two up to p
@@ -91,21 +93,24 @@ def occurrence_scan(word, r):
             spread.append(top << 3)
             top = p
         sp = p << 3
-        Q = Y = ((W ^ (W >> sp)) + D7) & (D >> sp)
-        s = sp
-        for _ in more_t:
-            s += sp
-            Q |= ((W ^ (W >> s)) + D7) & (D >> s)
-            Y = Y >> sp | Q
+        Y = ((W ^ (W >> sp)) + D7) & (D >> sp)
+        if more_t:
+            Q = Y
+            s = sp
+            for _ in more_t:
+                s += sp
+                Q |= ((W ^ (W >> s)) + D7) & (D >> s)
+                Y = Y >> sp | Q
         for shift in spread:
             Y |= Y >> shift
         if p != top:
             Y |= Y >> ((p - top) << 3)
-        length = r * p
-        good = (every >> ((length - 1) << 3)) & ~Y
+        good = valid ^ (valid & Y)  # valid & ~Y, without a negative int
         if good:
+            length = r * p
             flags = good.to_bytes(n - length + 1, "little")
             keys += compress(range(length, length + n * stride, stride), flags)
+        valid >>= rb
     keys.sort()
     return list(map(floordiv, keys, repeat(stride))), list(map(mod, keys, repeat(stride)))
 

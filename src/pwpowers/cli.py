@@ -6,10 +6,17 @@ printed), 2 usage, parse, or resource-budget errors. With --json exactly one
 JSON document is written to stdout, with a fixed key order so identical runs
 are byte-identical; no ANSI escapes are ever emitted. Every document is the
 text of json.dumps at a 2-space indent. analyze writes its profiles itself,
-straight from the scan's start and length columns with one row template
-(_profile_json): CPython before 3.13 drops to a pure-Python encoder whenever
-an indent is set, which cost analyze most of its time; the other documents
-are a few hundred bytes.
+straight from the scan's start and length columns (_profile_json): CPython
+before 3.13 drops to a pure-Python encoder whenever an indent is set, which
+cost analyze most of its time; the other documents are a few hundred bytes.
+Each occurrence row, in JSON and in text, is two text pieces, one for its
+start and one for its length, kept for the process in lists grown to the
+longest word seen, so a row costs two list lookups and every profile is
+joined once.
+
+The parser registers every command, but gives its arguments and
+sub-commands only to the command named first on the command line, the only
+one argparse reads; help, usage and error texts are those of the full tree.
 """
 
 from __future__ import annotations
@@ -53,42 +60,62 @@ def _json_list(items, indent: str, pad: str) -> str:
     # indent 2: `indent` before each item, `pad` before the closing bracket
     if not items:
         return "[]"
-    return "[" + indent + ("," + indent).join(items) + pad + "]"
+    return "[%s%s%s]" % (indent, ("," + indent).join(items), pad)
+
+
+# per pad, the text pieces of _profile_json: (head, tail, number)
+_JSON_PIECES: dict = {}
 
 
 def _profile_json(word: PartialWord, r: int, pad: str) -> str:
     """json.dumps(power_profile(word, r).to_json_dict(), indent=2) for a
     document whose lines after the first start with `pad` (a newline and the
     enclosing indent), written straight from the scan's start and length
-    columns: every occurrence row of the word goes through one `%` over the
-    row template joined once per row, and no profile is built."""
+    columns, with no profile built. Row (s, L) of the occurrences is
+    head[s] + tail[L], each tail ending with the separator before the next
+    row, and number[s] is the text of s + 1: cached pieces, grown to the
+    longest word seen, gathered into one list and joined once."""
     _validate_exponent(r)
     i1 = pad + "  "
     i2 = i1 + "  "
-    i3 = i2 + "  "
-    row = "{" + i3 + '"start": %d,' + i3 + '"length": %d' + i2 + "}"
+    sep = "," + i2
+    head, tail, number = _JSON_PIECES.setdefault(pad, ([], [], []))
+    if len(number) <= len(word):
+        i3 = i2 + "  "
+        row_head = "{" + i3 + '"start": %s,' + i3 + '"length": '
+        row_tail = "%d" + i2 + "}" + sep
+        for s in range(len(number), len(word) + 1):
+            number.append(str(s + 1))
+            head.append(row_head % number[s])
+            tail.append(row_tail % s)
     # through its module, where tracing wraps it
     starts, lengths = _kernels.occurrence_scan(word.codes, r)
-    starts = [s + 1 for s in starts]
-    flat = [0] * (2 * len(starts))  # start, length, start, length, ...
-    flat[0::2] = starts
-    flat[1::2] = lengths
-    positions = sorted(set(starts))
+    if starts:
+        rows = [None] * (2 * len(starts) + 2)
+        rows[0] = "[" + i2
+        rows[1:-1:2] = map(head.__getitem__, starts)
+        rows[2:-1:2] = map(tail.__getitem__, lengths)
+        rows[-2] = rows[-2][: -len(sep)]
+        rows[-1] = i1 + "]"
+        occurrences = "".join(rows)
+    else:
+        occurrences = "[]"
+    # the starts come sorted, so their first occurrences are the sorted set
+    positions = list(map(number.__getitem__, dict.fromkeys(starts)))
     return (
-        "{" + i1 + '"word": ' + encode_basestring_ascii(format_word(word))
-        + "," + i1 + '"r": %d' % r
-        + "," + i1 + '"occurrences": '
-        + _json_list([row] * len(starts), i2, i1) % tuple(flat)
-        + "," + i1 + '"startPositions": '
-        + _json_list(list(map(str, positions)), i2, i1)
-        + "," + i1 + '"uniqueStart": '
-        + ("%d" % positions[0] if len(positions) == 1 else "null")
-        + pad + "}"
+        "{" + i1 + '"word": %s,' + i1 + '"r": %d,' + i1 + '"occurrences": %s,'
+        + i1 + '"startPositions": %s,' + i1 + '"uniqueStart": %s' + pad + "}"
+    ) % (
+        encode_basestring_ascii(format_word(word)),
+        r,
+        occurrences,
+        _json_list(positions, i2, i1),
+        positions[0] if len(positions) == 1 else "null",
     )
 
 
 def _positions_set(positions) -> str:
-    return "{" + ",".join(str(p) for p in positions) + "}"
+    return "{" + ",".join(map(str, positions)) + "}"
 
 
 def _add_common(
@@ -105,15 +132,7 @@ def _add_common(
                             help="enumeration budget override (words checked / nodes explored)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pwpowers",
-        description="Squares, cubes, and higher powers in partial words: "
-        "analysis, constructions, bounded verification, exhaustive search.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="power profile of one word (or stdin batch)")
+def _add_analyze(pa: argparse.ArgumentParser) -> None:
     pa.add_argument("word", nargs="?", default=None,
                     help="word text: letters a-z, holes '.' or '◊'")
     pa.add_argument("--r", type=int, required=True, metavar="R", help="exponent, >= 2")
@@ -122,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--stdin", action="store_true", help="read one word per line from stdin")
     _add_common(pa)
 
-    pc = sub.add_parser("construct", help="emit an extremal word family member")
+
+def _add_construct(pc: argparse.ArgumentParser) -> None:
     csub = pc.add_subparsers(dest="generator", required=True)
     cc = csub.add_parser("square-chain", help="doubling family word, k squares from one start")
     cc.add_argument("--k", type=int, required=True, metavar="K")
@@ -138,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ce = csub.add_parser("cube-examples", help="the two length-9 three-cube words")
     _add_common(ce)
 
-    pv = sub.add_parser("verify", help="brute-force check of a claim on a bounded space")
+
+def _add_verify(pv: argparse.ArgumentParser) -> None:
     vsub = pv.add_subparsers(dest="claim", required=True)
     vf = vsub.add_parser("fine-wilf", help="two strong periods force their gcd on full words")
     vf.add_argument("--k", type=int, required=True, metavar="K")
@@ -176,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vx.add_argument("--r", type=int, default=None, metavar="R")
     _add_common(vx)
 
-    ps = sub.add_parser("search", help="exhaustive bounded search for many-power words")
+
+def _add_search(ps: argparse.ArgumentParser) -> None:
     ssub = ps.add_subparsers(dest="search_cmd")
     ps.add_argument("--r", type=int, default=None, metavar="R")
     ps.add_argument("--k", type=int, default=None, metavar="K")
@@ -195,25 +217,68 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--csv", action="store_true", help="CSV instead of aligned text")
     _add_common(st, budget=DEFAULT_NODE_BUDGET, jobs=True)
 
+
+# command name -> (help, function adding its arguments and sub-commands)
+_COMMANDS = {
+    "analyze": ("power profile of one word (or stdin batch)", _add_analyze),
+    "construct": ("emit an extremal word family member", _add_construct),
+    "verify": ("brute-force check of a claim on a bounded space", _add_verify),
+    "search": ("exhaustive bounded search for many-power words", _add_search),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    # every command is registered, so usage, help and errors read the same,
+    # but argparse reads only the parser of the command named first, so only
+    # that one gets its arguments; every one does when argv names none first
+    parser = argparse.ArgumentParser(
+        prog="pwpowers",
+        description="Squares, cubes, and higher powers in partial words: "
+        "analysis, constructions, bounded verification, exhaustive search.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if chosen is None or name == chosen:
+            add_arguments(command)
     return parser
 
 
+# per exponent, the text pieces of _profile_text: (head, tail)
+_TEXT_PIECES: dict = {}
+
+
 def _profile_text(profile) -> str:
+    # occurrence line (S, L) is head[S] + tail[L], each tail ending with its
+    # newline: cached pieces, as in _profile_json
     w = profile.word
-    lines = [
-        f"word: {format_word(w)}",
-        f"length: {len(w)}",
-        f"alphabet: {w.alphabet.size}",
-        f"defined: {_positions_set(w.defined_positions())}",
-        f"holes: {_positions_set(w.hole_positions())}",
-        f"occurrences (r={profile.exponent}): {len(profile.occurrences)}",
-    ]
-    for o in profile.occurrences:
-        lines.append(f"  start {o.start} length {o.length} root {o.root_length}")
-    lines.append(f"start positions: {_positions_set(profile.start_positions)}")
+    r = profile.exponent
+    head, tail = _TEXT_PIECES.setdefault(r, ([], []))
+    for v in range(len(head), len(w) + 1):
+        head.append("  start %d length " % v)
+        tail.append("%d root %d\n" % (v, v // r))
+    rows = [None] * (2 * len(profile.occurrences))
+    if rows:
+        starts, lengths, _, _ = zip(*profile.occurrences)
+        rows[0::2] = map(head.__getitem__, starts)
+        rows[1::2] = map(tail.__getitem__, lengths)
     unique = profile.unique_start
-    lines.append(f"unique start: {unique if unique is not None else '-'}")
-    return "\n".join(lines)
+    return (
+        "word: %s\nlength: %d\nalphabet: %d\ndefined: %s\nholes: %s\n"
+        "occurrences (r=%d): %d\n%sstart positions: %s\nunique start: %s"
+    ) % (
+        format_word(w),
+        len(w),
+        w.alphabet.size,
+        _positions_set(w.defined_positions()),
+        _positions_set(w.hole_positions()),
+        r,
+        len(profile.occurrences),
+        "".join(rows),
+        _positions_set(profile.start_positions),
+        unique if unique is not None else "-",
+    )
 
 
 def _run_analyze(args) -> int:
@@ -407,13 +472,13 @@ def _run_search(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     if args.command == "search" and args.search_cmd == "table":
         # argparse lets `table`'s defaults overwrite the options given before
         # it, and `search` alone has no positional, so anything between the
         # two words is an option that would be dropped
-        argv = sys.argv[1:] if argv is None else argv
         ahead = argv[1:argv.index("table")]
         if ahead:
             parser.error(f"search table: option {ahead[0].split('=')[0]} "

@@ -1,7 +1,10 @@
 """End-to-end command-line checks through real subprocesses: output shapes,
 exit codes, JSON round-trips, and run-to-run byte identity; plus analyze's
-profile writer against the stdlib encoder."""
+profile writer against the stdlib encoder, and the parser built for one
+command against the parser of every command."""
 
+import argparse
+import io
 import json
 import multiprocessing
 import os
@@ -141,6 +144,38 @@ class TestAnalyze:
             assert res.returncode == 0, res.stderr
             assert res.stdout == json.dumps(docs, indent=2) + "\n", r
 
+    def test_text_batch_matches_class_oracle(self, monkeypatch, capsys):
+        # text mode's occurrence lines and sets, from the residue-class
+        # definition of a power, not from the scan; the words come in lengths
+        # that go up and down, and every exponent runs in this process, so
+        # the cached pieces grow and are reread
+        rng = random.Random(21)
+        texts = [".aba", "aaaa", "ab"]
+        for _ in range(40):
+            holes = rng.random() / 2
+            texts.append("".join("." if rng.random() < holes else rng.choice("abc")
+                                 for _ in range(rng.randint(1, 60))))
+        for r in (2, 3, 5):
+            blocks = []
+            for text in texts:
+                codes = [".abc".index(ch) for ch in text]
+                rows = class_occurrences(codes, r)
+                starts = sorted({s + 1 for s, _ in rows})
+                blocks.append("\n".join([
+                    f"word: {text}",
+                    f"length: {len(text)}",
+                    f"alphabet: {max(max(codes), 1)}",
+                    "defined: {%s}" % ",".join(str(i + 1) for i, c in enumerate(codes) if c),
+                    "holes: {%s}" % ",".join(str(i + 1) for i, c in enumerate(codes) if not c),
+                    f"occurrences (r={r}): {len(rows)}",
+                    *(f"  start {s + 1} length {n} root {n // r}" for s, n in rows),
+                    "start positions: {%s}" % ",".join(map(str, starts)),
+                    f"unique start: {starts[0] if len(starts) == 1 else '-'}",
+                ]))
+            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(texts) + "\n"))
+            assert cli.main(["analyze", "--stdin", "--r", str(r)]) == 0
+            assert capsys.readouterr() == ("\n\n".join(blocks) + "\n", ""), r
+
 
 # a partial word of length 0..40 over k = 1..4 letters, holes included, and
 # an exponent 2..5
@@ -169,6 +204,22 @@ class TestProfileJson:
             assert cli._profile_json(w, r, "\n") == json.dumps(doc, indent=2)
         array = cli._json_list([cli._profile_json(w, r, "\n  ") for w, r in cases], "\n  ", "\n")
         assert array == json.dumps(docs, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(word_exponents, st.sampled_from(["\n", "\n  "])), max_size=8))
+    # whole powers, whose last row reads the tail of the word's own length,
+    # after a longer and before a shorter word, under both pads
+    @example([((word("ab" * 20), 2), "\n"), ((word("abab"), 2), "\n"),
+              ((word("a.a.a"), 5), "\n  "), ((word("..b.....", 3), 4), "\n"),
+              ((word("aaa"), 3), "\n  "), ((word("ab" * 15 + "."), 2), "\n  ")])
+    def test_cached_pieces_in_sequence(self, cases):
+        # the pieces are cached per pad across calls, grown to the longest
+        # word seen; here they start empty, and each sequence mixes lengths
+        # that go up and down with both pads in one process
+        cli._JSON_PIECES.clear()
+        for (w, r), pad in cases:
+            expected = json.dumps(power_profile(w, r).to_json_dict(), indent=2)
+            assert cli._profile_json(w, r, pad) == expected.replace("\n", pad)
 
 
 class TestConstruct:
@@ -569,3 +620,91 @@ def test_no_ansi_escapes_anywhere():
         res = run_cli(*args)
         assert "\x1b" not in res.stdout
         assert "\x1b" not in res.stderr
+
+
+def _parser_argvs():
+    # help at every level of the full parser, then calls that parse and calls
+    # that fail: an unknown command or choice, a missing required option or
+    # sub-command, a bad value, an option before the command or before `table`
+    full = cli._build_parser([])
+    argvs = [[], ["-h"], ["--help"]]
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    argvs.append([*path, name, "--help"])
+                    walk(child, [*path, name])
+
+    walk(full, [])
+    table = ["--r-min", "2", "--r-max", "3", "--k-min", "2", "--k-max", "2", "--max-len", "6"]
+    argvs += [
+        ["analyze", ".aba", "--r", "2"],
+        ["analyze", "--stdin", "--r", "3", "--alphabet", "4", "--json"],
+        ["construct", "square-chain", "--k", "3"],
+        ["construct", "prop2", "--r", "4", "--json"],
+        ["construct", "prop3", "--r", "5", "--unchecked"],
+        ["construct", "cube-examples"],
+        ["verify", "fine-wilf", "--k", "2", "--max-len", "5", "--budget", "9"],
+        ["verify", "corollary-full", "--r", "3", "--k", "2", "--max-len", "5"],
+        ["verify", "lemma-h1", "--k", "2", "--max-len", "5"],
+        ["verify", "lemma-2k", "--k", "2", "--max-u-len", "3"],
+        ["verify", "lemma-short", "--k", "2", "--max-u-len", "3"],
+        ["verify", "theorem-sq", "--k", "2", "--max-len", "5", "--bound", "1", "--json"],
+        ["verify", "construction", "--name", "prop2", "--r", "4"],
+        ["search", "--r", "3", "--k", "2", "--max-len", "8", "--t", "2", "--jobs", "2"],
+        ["search", "table", *table, "--csv"],
+        ["bogus"],
+        ["--json", "analyze", ".aba", "--r", "2"],
+        ["analyze", ".aba"],
+        ["analyze", ".aba", "--r", "two"],
+        ["analyze", ".aba", "--r", "2", "--bogus"],
+        ["construct"],
+        ["construct", "prop4", "--r", "4"],
+        ["verify", "theorem-sq", "--k", "2"],
+        ["verify", "construction", "--name", "bogus"],
+        ["search", "--json", "table", *table],
+        ["search", "table", "--r-min", "2"],
+    ]
+    return argvs
+
+
+def test_parser_reads_as_the_full_parser(monkeypatch, capsys):
+    # the parser built for each argv, which fills in only the command named
+    # first, gives the arguments, exit code, stdout and stderr of the parser
+    # with every command filled in; the commands only print their arguments
+    for name in ("_run_analyze", "_run_construct", "_run_verify", "_run_search"):
+        monkeypatch.setattr(cli, name, lambda args: print(sorted(vars(args).items())) or 0)
+    build = cli._build_parser
+
+    def call(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    for argv in _parser_argvs():
+        monkeypatch.setattr(cli, "_build_parser", build)
+        mine = call(argv)
+        monkeypatch.setattr(cli, "_build_parser", lambda _argv: build([]))
+        assert mine == call(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "abab", "--r", "2", "--json"],
+    ["verify", "theorem-sq", "--k", "2", "--max-len", "4"],
+])
+def test_parser_fills_one_command(monkeypatch, capsys, argv):
+    # building every command's arguments on every call cost milliseconds of
+    # each command's start-up; the other commands are registered but empty
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda a: built.append(build(a)) or built[-1])
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    [commands] = [action.choices for action in built[0]._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands) == list(cli._COMMANDS)
+    filled = [name for name, parser in commands.items() if len(parser._actions) > 1]
+    assert filled == [argv[0]]
