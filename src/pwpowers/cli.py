@@ -16,42 +16,58 @@ joined once.
 
 The parser registers every command, but gives its arguments and
 sub-commands only to the command named first on the command line, the only
-one argparse reads; help, usage and error texts are those of the full tree.
+one argparse reads, and within construct and verify only to the generator or
+claim named second; help, usage and error texts are those of the full tree.
+
+Start-up: at import this module loads only argparse, errors and words. Each
+command imports the modules it runs when it runs (construct: constructions;
+verify: verify; search: search; analyze: powers and _kernels), so a call
+compiles no module its command does not use, and json is imported only where
+json.dumps runs. Two names that perfbench/trace.py patches on this module,
+power_profile and verify_theorem_sq_bound, stay attributes of it: the module
+__getattr__ imports each on its first access and binds it into the module's
+globals, and the commands read them from there through _patch_point, so a
+patch set on the module (setattr, monkeypatch.setattr) takes effect. analyze
+and search call _kernels.occurrence_scan and search.search_max_powers
+through their modules, where the tracer wraps them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from . import _kernels, search
-from .constructions import cube_examples, prop2_word, prop3_word, square_chain
 from .errors import BadExponentError, PartialWordError, ResourceLimitError
-from .powers import _validate_exponent, power_profile
-from .search import (
-    DEFAULT_NODE_BUDGET,
-    SearchQuery,
-    lower_bound_table,
-)
-from .verify import (
-    DEFAULT_CHECK_BUDGET,
-    VerificationReport,
-    verify_construction,
-    verify_corollary_full,
-    verify_fine_wilf,
-    verify_lemma_2k,
-    verify_lemma_short,
-    verify_lemma_h1,
-    verify_theorem_sq_bound,
-)
 from .words import Alphabet, PartialWord, format_word, parse_word
+
+# bound on first use by _profile_json: the scan, which only analyze runs
+_kernels = _validate_exponent = None
+
+
+def __getattr__(name):
+    # the trace patch points: imported from their module on first access and
+    # bound into this module, where _patch_point reads them and a patch set
+    # on the module (setattr, monkeypatch) replaces them
+    if name == "power_profile":
+        from .powers import power_profile as value
+    elif name == "verify_theorem_sq_bound":
+        from .verify import verify_theorem_sq_bound as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def _patch_point(name: str):
+    # `cli.<name>` as it now stands: a patch if one is set, else the original
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def _print_json(doc) -> None:
+    import json
+
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
@@ -75,6 +91,8 @@ def _profile_json(word: PartialWord, r: int, pad: str) -> str:
     head[s] + tail[L], each tail ending with the separator before the next
     row, and number[s] is the text of s + 1: cached pieces, grown to the
     longest word seen, gathered into one list and joined once."""
+    if _kernels is None:
+        _bind_scan()
     _validate_exponent(r)
     i1 = pad + "  "
     i2 = i1 + "  "
@@ -106,12 +124,19 @@ def _profile_json(word: PartialWord, r: int, pad: str) -> str:
         "{" + i1 + '"word": %s,' + i1 + '"r": %d,' + i1 + '"occurrences": %s,'
         + i1 + '"startPositions": %s,' + i1 + '"uniqueStart": %s' + pad + "}"
     ) % (
-        encode_basestring_ascii(format_word(word)),
+        # format_word writes only a-z and '.', which JSON strings hold as is
+        '"' + format_word(word) + '"',
         r,
         occurrences,
         _json_list(positions, i2, i1),
         positions[0] if len(positions) == 1 else "null",
     )
+
+
+def _bind_scan() -> None:
+    global _kernels, _validate_exponent
+    from . import _kernels
+    from .powers import _validate_exponent
 
 
 def _positions_set(positions) -> str:
@@ -132,7 +157,28 @@ def _add_common(
                             help="enumeration budget override (words checked / nodes explored)")
 
 
-def _add_analyze(pa: argparse.ArgumentParser) -> None:
+def _int(flag: str, metavar: str, required: bool = True) -> tuple:
+    return flag, {"type": int, "required": required, "metavar": metavar}
+
+
+def _add_level(
+    parser: argparse.ArgumentParser, dest: str, chosen: Optional[str], table: dict
+) -> None:
+    # sub-commands from `table`, name -> (help, options, budget): every one is
+    # registered, so usage, help and errors read the same, but argparse reads
+    # only the one named on the command line, so only that one gets its
+    # options; every one does when `chosen` names none
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, options, budget) in table.items():
+        child = sub.add_parser(name, help=help_text)
+        if chosen in table and name != chosen:
+            continue
+        for flag, kwargs in options:
+            child.add_argument(flag, **kwargs)
+        _add_common(child, budget=budget)
+
+
+def _add_analyze(pa: argparse.ArgumentParser, _chosen: Optional[str]) -> None:
     pa.add_argument("word", nargs="?", default=None,
                     help="word text: letters a-z, holes '.' or '◊'")
     pa.add_argument("--r", type=int, required=True, metavar="R", help="exponent, >= 2")
@@ -142,63 +188,49 @@ def _add_analyze(pa: argparse.ArgumentParser) -> None:
     _add_common(pa)
 
 
-def _add_construct(pc: argparse.ArgumentParser) -> None:
-    csub = pc.add_subparsers(dest="generator", required=True)
-    cc = csub.add_parser("square-chain", help="doubling family word, k squares from one start")
-    cc.add_argument("--k", type=int, required=True, metavar="K")
-    _add_common(cc)
-    c2 = csub.add_parser("prop2", help="length-2r word with two r-th powers from one start")
-    c2.add_argument("--r", type=int, required=True, metavar="R")
-    _add_common(c2)
-    c3 = csub.add_parser("prop3", help="length-3r word with three r-th powers from one start")
-    c3.add_argument("--r", type=int, required=True, metavar="R")
-    c3.add_argument("--unchecked", action="store_true",
-                    help="emit the formula word for any r >= 3, without profile claims")
-    _add_common(c3)
-    ce = csub.add_parser("cube-examples", help="the two length-9 three-cube words")
-    _add_common(ce)
+def _add_construct(pc: argparse.ArgumentParser, chosen: Optional[str]) -> None:
+    r = _int("--r", "R")
+    unchecked = ("--unchecked", {
+        "action": "store_true",
+        "help": "emit the formula word for any r >= 3, without profile claims",
+    })
+    _add_level(pc, "generator", chosen, {
+        "square-chain": ("doubling family word, k squares from one start",
+                         [_int("--k", "K")], None),
+        "prop2": ("length-2r word with two r-th powers from one start", [r], None),
+        "prop3": ("length-3r word with three r-th powers from one start", [r, unchecked], None),
+        "cube-examples": ("the two length-9 three-cube words", [], None),
+    })
 
 
-def _add_verify(pv: argparse.ArgumentParser) -> None:
-    vsub = pv.add_subparsers(dest="claim", required=True)
-    vf = vsub.add_parser("fine-wilf", help="two strong periods force their gcd on full words")
-    vf.add_argument("--k", type=int, required=True, metavar="K")
-    vf.add_argument("--max-len", type=int, required=True, metavar="N")
-    _add_common(vf, budget=DEFAULT_CHECK_BUDGET)
-    vc = vsub.add_parser("corollary-full",
-                         help="full words: a doubled power start is never the last start")
-    vc.add_argument("--r", type=int, required=True, metavar="R")
-    vc.add_argument("--k", type=int, required=True, metavar="K")
-    vc.add_argument("--max-len", type=int, required=True, metavar="N")
-    _add_common(vc, budget=DEFAULT_CHECK_BUDGET)
-    vh = vsub.add_parser("lemma-h1",
-                         help="multiple same-start squares force hole set {1}")
-    vh.add_argument("--k", type=int, required=True, metavar="K")
-    vh.add_argument("--max-len", type=int, required=True, metavar="N")
-    _add_common(vh, budget=DEFAULT_CHECK_BUDGET)
-    v2 = vsub.add_parser("lemma-2k", help="long unique-start square forces an interior start")
-    v2.add_argument("--k", type=int, required=True, metavar="K")
-    v2.add_argument("--max-u-len", type=int, required=True, metavar="M")
-    _add_common(v2, budget=DEFAULT_CHECK_BUDGET)
-    vs = vsub.add_parser("lemma-short", help="short matching square forces a square inside v")
-    vs.add_argument("--k", type=int, required=True, metavar="K")
-    vs.add_argument("--max-u-len", type=int, required=True, metavar="M")
-    _add_common(vs, budget=DEFAULT_CHECK_BUDGET)
-    vt = vsub.add_parser("theorem-sq", help="unique-start words carry at most k squares")
-    vt.add_argument("--k", type=int, required=True, metavar="K")
-    vt.add_argument("--max-len", type=int, required=True, metavar="N")
-    vt.add_argument("--bound", type=int, default=None, metavar="B",
-                    help="override the asserted bound (default k); probes tightness")
-    _add_common(vt, budget=DEFAULT_CHECK_BUDGET)
-    vx = vsub.add_parser("construction", help="re-check a construction's occurrence profile")
-    vx.add_argument("--name", required=True,
-                    choices=["square-chain", "prop2", "prop3", "cube-examples"])
-    vx.add_argument("--k", type=int, default=None, metavar="K")
-    vx.add_argument("--r", type=int, default=None, metavar="R")
-    _add_common(vx)
+def _add_verify(pv: argparse.ArgumentParser, chosen: Optional[str]) -> None:
+    from .verify import DEFAULT_CHECK_BUDGET as budget
+
+    k, r = _int("--k", "K"), _int("--r", "R")
+    n, m = _int("--max-len", "N"), _int("--max-u-len", "M")
+    bound = ("--bound", {
+        "type": int, "default": None, "metavar": "B",
+        "help": "override the asserted bound (default k); probes tightness",
+    })
+    name = ("--name", {
+        "required": True, "choices": ["square-chain", "prop2", "prop3", "cube-examples"],
+    })
+    _add_level(pv, "claim", chosen, {
+        "fine-wilf": ("two strong periods force their gcd on full words", [k, n], budget),
+        "corollary-full": ("full words: a doubled power start is never the last start",
+                           [r, k, n], budget),
+        "lemma-h1": ("multiple same-start squares force hole set {1}", [k, n], budget),
+        "lemma-2k": ("long unique-start square forces an interior start", [k, m], budget),
+        "lemma-short": ("short matching square forces a square inside v", [k, m], budget),
+        "theorem-sq": ("unique-start words carry at most k squares", [k, n, bound], budget),
+        "construction": ("re-check a construction's occurrence profile",
+                         [name, _int("--k", "K", False), _int("--r", "R", False)], None),
+    })
 
 
-def _add_search(ps: argparse.ArgumentParser) -> None:
+def _add_search(ps: argparse.ArgumentParser, _chosen: Optional[str]) -> None:
+    from .search import DEFAULT_NODE_BUDGET
+
     ssub = ps.add_subparsers(dest="search_cmd")
     ps.add_argument("--r", type=int, default=None, metavar="R")
     ps.add_argument("--k", type=int, default=None, metavar="K")
@@ -218,7 +250,8 @@ def _add_search(ps: argparse.ArgumentParser) -> None:
     _add_common(st, budget=DEFAULT_NODE_BUDGET, jobs=True)
 
 
-# command name -> (help, function adding its arguments and sub-commands)
+# command name -> (help, function adding its arguments and sub-commands,
+# given the word after the command name)
 _COMMANDS = {
     "analyze": ("power profile of one word (or stdin batch)", _add_analyze),
     "construct": ("emit an extremal word family member", _add_construct),
@@ -230,7 +263,9 @@ _COMMANDS = {
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     # every command is registered, so usage, help and errors read the same,
     # but argparse reads only the parser of the command named first, so only
-    # that one gets its arguments; every one does when argv names none first
+    # that one gets its arguments; every one does when argv names none first.
+    # One level down, construct and verify fill only the generator or claim
+    # named second
     parser = argparse.ArgumentParser(
         prog="pwpowers",
         description="Squares, cubes, and higher powers in partial words: "
@@ -241,7 +276,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     for name, (help_text, add_arguments) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         if chosen is None or name == chosen:
-            add_arguments(command)
+            add_arguments(command, argv[1] if chosen and len(argv) > 1 else None)
     return parser
 
 
@@ -298,6 +333,7 @@ def _run_analyze(args) -> int:
     # each profile is written as soon as it is found, and printed once every
     # line has parsed, so an error leaves stdout empty
     pad = "\n  " if args.stdin else "\n"
+    power_profile = None if args.json else _patch_point("power_profile")
     out = []
     for idx, text in texts:
         try:
@@ -320,6 +356,8 @@ def _run_analyze(args) -> int:
 
 
 def _run_construct(args) -> int:
+    from .constructions import cube_examples, prop2_word, prop3_word, square_chain
+
     if args.generator == "square-chain":
         words = [square_chain(args.k)]
         parameters = {"k": args.k}
@@ -350,7 +388,7 @@ def _run_construct(args) -> int:
     return 0
 
 
-def _report_text(report: VerificationReport) -> str:
+def _report_text(report) -> str:
     params = " ".join(f"{key}={value}" for key, value in report.parameters.items())
     lines = [
         f"claim: {report.claim}",
@@ -369,22 +407,24 @@ def _report_text(report: VerificationReport) -> str:
 
 
 def _run_verify(args) -> int:
+    from . import verify
+
     if args.claim == "fine-wilf":
-        report = verify_fine_wilf(args.k, args.max_len, budget=args.budget)
+        report = verify.verify_fine_wilf(args.k, args.max_len, budget=args.budget)
     elif args.claim == "corollary-full":
-        report = verify_corollary_full(args.r, args.k, args.max_len, budget=args.budget)
+        report = verify.verify_corollary_full(args.r, args.k, args.max_len, budget=args.budget)
     elif args.claim == "lemma-h1":
-        report = verify_lemma_h1(args.k, args.max_len, budget=args.budget)
+        report = verify.verify_lemma_h1(args.k, args.max_len, budget=args.budget)
     elif args.claim == "lemma-2k":
-        report = verify_lemma_2k(args.k, args.max_u_len, budget=args.budget)
+        report = verify.verify_lemma_2k(args.k, args.max_u_len, budget=args.budget)
     elif args.claim == "lemma-short":
-        report = verify_lemma_short(args.k, args.max_u_len, budget=args.budget)
+        report = verify.verify_lemma_short(args.k, args.max_u_len, budget=args.budget)
     elif args.claim == "theorem-sq":
-        report = verify_theorem_sq_bound(
+        report = _patch_point("verify_theorem_sq_bound")(
             args.k, args.max_len, bound=args.bound, budget=args.budget
         )
     else:
-        report = verify_construction(args.name, k=args.k, r=args.r)
+        report = verify.verify_construction(args.name, k=args.k, r=args.r)
     if args.json:
         _print_json(report.to_json_dict())
     else:
@@ -408,8 +448,10 @@ def _search_text(result) -> str:
 
 
 def _run_search(args) -> int:
+    from . import search
+
     if args.search_cmd == "table":
-        cells = lower_bound_table(
+        cells = search.lower_bound_table(
             range(args.r_min, args.r_max + 1),
             range(args.k_min, args.k_max + 1),
             args.max_len,
@@ -455,7 +497,7 @@ def _run_search(args) -> int:
     if missing:
         print(f"search: missing required options: {', '.join(missing)}", file=sys.stderr)
         return 2
-    query = SearchQuery(
+    query = search.SearchQuery(
         exponent=args.r,
         alphabet_size=args.k,
         max_len=args.max_len,

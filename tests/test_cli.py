@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pwpowers import _kernels, cli, power_profile
+from pwpowers import _kernels, cli, format_word, power_profile
 from helpers import class_occurrences, to_word, word
 
 PKG = [sys.executable, "-m", "pwpowers"]
@@ -220,6 +220,15 @@ class TestProfileJson:
         for (w, r), pad in cases:
             expected = json.dumps(power_profile(w, r).to_json_dict(), indent=2)
             assert cli._profile_json(w, r, pad) == expected.replace("\n", pad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 26).flatmap(
+        lambda k: st.lists(st.integers(0, k), max_size=60).map(lambda c: to_word(c, k))))
+    def test_word_text_needs_no_escape(self, w):
+        # _profile_json quotes the word's text as is: format_word writes only
+        # letters and '.', none of which a JSON string escapes
+        text = format_word(w)
+        assert '"' + text + '"' == json.dumps(text)
 
 
 class TestConstruct:
@@ -634,6 +643,8 @@ def _parser_argvs():
             if isinstance(action, argparse._SubParsersAction):
                 for name, child in action.choices.items():
                     argvs.append([*path, name, "--help"])
+                    if path:
+                        argvs.append([*path, name, "-h"])
                     walk(child, [*path, name])
 
     walk(full, [])
@@ -663,6 +674,13 @@ def _parser_argvs():
         ["construct", "prop4", "--r", "4"],
         ["verify", "theorem-sq", "--k", "2"],
         ["verify", "construction", "--name", "bogus"],
+        ["verify", "construction", "--name", "prop2", "--max-len", "4"],
+        ["verify"],
+        ["verify", "theorem-sqq", "--k", "2", "--max-len", "5"],
+        ["verify", "-h", "theorem-sq"],
+        ["verify", "--json", "theorem-sq", "--k", "2", "--max-len", "5"],
+        ["construct", "prop3", "--k", "3"],
+        ["construct", "--help", "prop3"],
         ["search", "--json", "table", *table],
         ["search", "table", "--r-min", "2"],
     ]
@@ -691,20 +709,31 @@ def test_parser_reads_as_the_full_parser(monkeypatch, capsys):
         assert mine == call(argv), argv
 
 
+def _filled(parser):
+    # the sub-commands of `parser`, and the names of those given arguments
+    [choices] = [action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return choices, [name for name, child in choices.items() if len(child._actions) > 1]
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "abab", "--r", "2", "--json"],
+    ["construct", "prop2", "--r", "3"],
     ["verify", "theorem-sq", "--k", "2", "--max-len", "4"],
+    ["verify", "construction", "--name", "prop2", "--r", "3"],
 ])
 def test_parser_fills_one_command(monkeypatch, capsys, argv):
     # building every command's arguments on every call cost milliseconds of
-    # each command's start-up; the other commands are registered but empty
+    # each command's start-up; the other commands are registered but empty,
+    # and so are the generators and claims not named after construct or verify
     built = []
     build = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda a: built.append(build(a)) or built[-1])
     assert cli.main(argv) == 0
     capsys.readouterr()
-    [commands] = [action.choices for action in built[0]._actions
-                  if isinstance(action, argparse._SubParsersAction)]
+    commands, filled = _filled(built[0])
     assert list(commands) == list(cli._COMMANDS)
-    filled = [name for name, parser in commands.items() if len(parser._actions) > 1]
     assert filled == [argv[0]]
+    if argv[0] in ("construct", "verify"):
+        choices, filled = _filled(commands[argv[0]])
+        assert len(choices) > 1 and filled == [argv[1]]
