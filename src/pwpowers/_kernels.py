@@ -8,20 +8,23 @@ convention.
 
 A window of length r*p is an r-th power iff no residue class mod p inside
 it holds two different letters. The two occurrence scans test that rule in
-two forms. `occurrence_scan` is bit-parallel over positions: for each p it
-marks, with a few big-int operations over the whole word, every pair of
-letters t*p apart (t = 1..r-1) that differ, and keeps the windows holding
-none. Any two positions of one class inside a window lie at most (r-1)*p
-apart, so these pairs are all the pairs the rule names. The per-append scan
-inside `search_kernel` keeps break pairs instead: two consecutive letters of
-one residue class mod p that differ, with only holes of that class between
+two forms. `occurrence_keys` is bit-parallel over positions, one bit per
+position: for each p it marks, with a few big-int operations over every word
+of a batch at once, laid end to end, every pair of letters t*p apart
+(t = 1..r-1) that differ, and keeps the windows holding none. Any two
+positions of one class inside a window lie at most (r-1)*p apart, so these
+pairs are all the pairs the rule names. The per-append scan inside
+`search_kernel` keeps break pairs instead: two consecutive letters of one
+residue class mod p that differ, with only holes of that class between
 them. A window holds a differing pair of one class iff it holds a break
 pair (between two differing letters of a class, some two consecutive ones
-differ), so both forms accept the same windows. `occurrence_scan` returns
-its occurrences as two int columns, starts and lengths, not as pairs: its
-callers read them column by column, and `analyze --json` writes them to
-text with no object per occurrence. The independent checks of both scans,
-by explicit root construction and class by class, live in tests/helpers.py.
+differ), so both forms accept the same windows. `occurrence_keys` returns
+one sorted int column of (start, length) keys for the whole batch, which
+`analyze --json` writes to text with no object per occurrence;
+`occurrence_scan` is its call on one word, split into the two columns,
+starts and lengths, that the library reads. The independent checks of both
+scans, by explicit root construction and class by class, live in
+tests/helpers.py.
 
 The search scores the leaves, the children of a node one symbol short of
 the maximum length, all in one pass over p from their parent's barrier
@@ -44,75 +47,135 @@ nothing.
 """
 
 import math
-from itertools import compress, repeat
-from operator import floordiv, mod
+from functools import cache
+from itertools import accumulate, compress, repeat
 
 # read by perfbench, which reports it as the kernel backend
 NUMBA_ENABLED = False
 
 
-# translate table for occurrence_scan: 0x80 for a letter, 0 for the hole
-_DEFINED = b"\0" + b"\x80" * 255
+@cache
+def _scan_tables():
+    # occurrence_keys' translate tables, built on its first scan, not at
+    # import, since verify and search never scan: code -> b"0"/b"1" for
+    # the letters, and for bit j of the letter index (code - 1) per j; per
+    # j, the codes to delete to leave the letters whose index is >= 2**j;
+    # and b"0"/b"1" -> 0/1
+    return (
+        b"0" + b"1" * 255,
+        tuple(bytes(b"01"[c > 0 and (c - 1) >> j & 1] for c in range(256)) for j in range(7)),
+        tuple(bytes(range((1 << j) + 1)) for j in range(8)),
+        bytes.maketrans(b"01", b"\0\1"),
+    )
+
+
+def occurrence_keys(words, r):
+    # every r-th power occurrence of every word in `words` (byte views, bytes
+    # or int lists of codes below 128), in one scan. Returns (order, shift,
+    # keys, starts): the words are laid end to end in `order`, longest first
+    # (ties in input order); keys is the sorted column of x << shift |
+    # length, x the occurrence's start in that layout, so each word's rows
+    # are one run of keys, in (start, length) order; bit x of `starts` is
+    # set iff some occurrence starts at x.
+    #
+    # Bit x of each int stands for position x of the layout: D marks the
+    # letters, and plane j the letters whose index (code - 1) has bit j.
+    # At shift s, (OR_j P_j ^ P_j>>s) & D & D>>s marks every x whose letter
+    # differs from the letter at x + s: C_t, at s = t*p, marks every
+    # differing pair (x, x+t*p). Window (i, r*p) is a power iff no C_t,
+    # t = 1..r-1, marks an x in [i, i + (r-t)*p), so Q_t, the OR of
+    # C_1..C_t, is folded over those spans by p-shifts (Y = Y>>p | Q_t) and
+    # spread over p positions by doubling shifts. `valid` marks the starts
+    # whose window lies inside one word; those with no bit in Y are the
+    # power starts for p. A pair across two words is never inside such a
+    # window, and a word shorter than r*p holds none, so when r*p passes the
+    # length of the words at the top of the layout, every int drops them.
+    lengths = list(map(len, words))
+    order = sorted(range(len(words)), key=lengths.__getitem__, reverse=True)
+    sizes = [lengths[i] for i in order]
+    shift = sizes[0].bit_length() if sizes else 0
+    keys = []
+    starts = 0
+    pmax = sizes[0] // r if sizes else 0
+    if not pmax:
+        return order, shift, keys, starts
+    defined, plane_table, below, flag = _scan_tables()
+    b = bytes(words[0]) if len(words) == 1 else b"".join([bytes(words[i]) for i in order])
+    D = int(b.translate(defined)[::-1], 2)
+    planes = []
+    while b.translate(None, below[len(planes)]):  # a letter index >= 2**j
+        planes.append(int(b.translate(plane_table[len(planes)])[::-1], 2))
+    live = len(sizes)  # the words sizes[:live] are in the ints
+    while sizes[live - 1] < r:
+        live -= 1
+    # the starts of p = 1; from each p to the next, see the end of the loop
+    valid = int("".join(["0" * (r - 1) + "1" * (n - r + 1) for n in reversed(sizes[:live])]), 2)
+    ends = list(accumulate(sizes))
+    step = 1 << shift
+    more_t = range(r - 2)
+    spread = []  # shifts by 1, 2, 4, .. positions below p
+    top = 1  # largest power of two up to p
+    for p in range(1, pmax + 1):
+        length = r * p
+        if sizes[live - 1] < length:  # drop the words shorter than r*p
+            while sizes[live - 1] < length:
+                live -= 1
+            cut = (1 << ends[live - 1]) - 1
+            D &= cut
+            planes = [P & cut for P in planes]
+        if p == top << 1:
+            spread.append(top)
+            top = p
+        Y = 0
+        for P in planes:
+            Y |= P ^ (P >> p)
+        Y &= D & (D >> p)
+        if more_t:
+            Q = Y
+            s = p
+            for _ in more_t:
+                s += p
+                C = 0
+                for P in planes:
+                    C |= P ^ (P >> s)
+                Q |= C & D & (D >> s)
+                Y = Y >> p | Q
+        for shift_by in spread:
+            Y |= Y >> shift_by
+        if p != top:
+            Y |= Y >> (p - top)
+        good = valid ^ (valid & Y)  # valid & ~Y, without a negative int
+        if good:
+            starts |= good
+            # bit x of good is character -1-x of its binary text: dense
+            # starts are read by compress, sparse ones by searching the text
+            bits = bin(good)
+            if good.bit_count() << 4 > len(bits):
+                flags = bits[:1:-1].encode().translate(flag)
+                keys += compress(range(length, len(flags) << shift, step), flags)
+            else:
+                last = len(bits) - 1
+                i = bits.rfind("1")
+                while i >= 0:
+                    keys.append((last - i) << shift | length)
+                    i = bits.rfind("1", 0, i)
+        # a window of root p + 1 lies in one word iff the windows of root p at
+        # i and i + r do, as they overlap when p >= 2; at p = 1 the window
+        # at i + 1 joins them
+        valid &= valid >> r if p > 1 else valid >> 1 & valid >> r
+    keys.sort()
+    return order, shift, keys, starts
 
 
 def occurrence_scan(word, r):
-    # every r-th power occurrence as two columns (starts, lengths), 0-indexed
-    # starts, in (start, length) order, which power_occurrences and
-    # cli._profile_json rely on; row i is (starts[i], lengths[i]). `word` is
-    # a byte view, bytes or an int list of codes below 128.
-    #
-    # Byte x of each int stands for position x (little-endian): W holds the
-    # codes, D the bit 0x80 of every letter, D7 its bits 0x7f. At shift
-    # s = t*p, ((W ^ W>>8s) + D7) carries into bit 0x80 of byte x iff x is a
-    # letter that differs from w[x+s], and D>>8s asks w[x+s] to be a letter:
-    # C_t marks every differing pair (x, x+t*p). Window (i, r*p) is a power
-    # iff no C_t, t = 1..r-1, marks an x in [i, i + (r-t)*p), so Q_t, the OR
-    # of C_1..C_t, is folded over those spans by p-shifts (Y = Y>>8p | Q_t)
-    # and spread over p positions by doubling shifts. `valid` marks the
-    # starts 0..n-r*p, shifted down r positions per p; those whose byte of Y
-    # is zero are the power starts for p.
-    n = len(word)
-    pmax = n // r
-    if not pmax:
-        return [], []
-    b = bytes(word)
-    W = int.from_bytes(b, "little")
-    D = int.from_bytes(b.translate(_DEFINED), "little")
-    D7 = D - (D >> 7)
-    rb = r << 3
-    valid = int.from_bytes(b"\x80" * (n - r + 1), "little")  # p = 1
-    more_t = range(r - 2)
-    spread = []  # shifts by 1, 2, 4, .. positions below p, in bits
-    top = 1  # largest power of two up to p
-    # rows are gathered as start * (n+1) + length, p by p, then sorted and
-    # split into their two columns
-    stride = n + 1
-    keys = []
-    for p in range(1, pmax + 1):
-        if p == top << 1:
-            spread.append(top << 3)
-            top = p
-        sp = p << 3
-        Y = ((W ^ (W >> sp)) + D7) & (D >> sp)
-        if more_t:
-            Q = Y
-            s = sp
-            for _ in more_t:
-                s += sp
-                Q |= ((W ^ (W >> s)) + D7) & (D >> s)
-                Y = Y >> sp | Q
-        for shift in spread:
-            Y |= Y >> shift
-        if p != top:
-            Y |= Y >> ((p - top) << 3)
-        good = valid ^ (valid & Y)  # valid & ~Y, without a negative int
-        if good:
-            length = r * p
-            flags = good.to_bytes(n - length + 1, "little")
-            keys += compress(range(length, length + n * stride, stride), flags)
-        valid >>= rb
-    keys.sort()
-    return list(map(floordiv, keys, repeat(stride))), list(map(mod, keys, repeat(stride)))
+    # every r-th power occurrence of one word as two columns (starts,
+    # lengths), 0-indexed starts, in (start, length) order, which
+    # power_occurrences relies on; row i is (starts[i], lengths[i]). `word`
+    # is a byte view, bytes or an int list of codes: occurrence_keys on a
+    # batch of one
+    _, shift, keys, _ = occurrence_keys((word,), r)
+    mask = (1 << shift) - 1
+    return [key >> shift for key in keys], [key & mask for key in keys]
 
 
 # ---------------------------------------------------------------------------

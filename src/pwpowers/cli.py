@@ -5,14 +5,15 @@ Exit codes: 0 success / claim verified, 1 claim refuted (counterexample
 printed), 2 usage, parse, or resource-budget errors. With --json exactly one
 JSON document is written to stdout, with a fixed key order so identical runs
 are byte-identical; no ANSI escapes are ever emitted. Every document is the
-text of json.dumps at a 2-space indent. analyze writes its profiles itself,
-straight from the scan's start and length columns (_profile_json): CPython
-before 3.13 drops to a pure-Python encoder whenever an indent is set, which
-cost analyze most of its time; the other documents are a few hundred bytes.
-Each occurrence row, in JSON and in text, is two text pieces, one for its
-start and one for its length, kept for the process in lists grown to the
-longest word seen, so a row costs two list lookups and every profile is
-joined once.
+text of json.dumps at a 2-space indent. analyze --json writes its text
+itself (_profiles_json), from one scan of the whole batch, the --stdin array
+or the single word: CPython before 3.13 drops to a pure-Python encoder
+whenever an indent is set, which cost analyze most of its time; the other
+documents are a few hundred bytes. Each occurrence row, in JSON and in text,
+is two text pieces, one for its start and one for its length, kept for the
+process in lists grown to the longest word seen, so a row costs two list
+lookups, and the JSON text is joined once. Text mode writes each profile
+from power_profile, word by word.
 
 The parser registers every command, but gives its arguments and
 sub-commands only to the command named first on the command line, the only
@@ -28,8 +29,8 @@ power_profile and verify_theorem_sq_bound, stay attributes of it: the module
 __getattr__ imports each on its first access and binds it into the module's
 globals, and the commands read them from there through _patch_point, so a
 patch set on the module (setattr, monkeypatch.setattr) takes effect. analyze
-and search call _kernels.occurrence_scan and search.search_max_powers
-through their modules, where the tracer wraps them.
+--json and search call _kernels.occurrence_keys and search.search_max_powers
+through their modules.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from bisect import bisect_left
+from itertools import compress
 from typing import Optional
 
 from .errors import BadExponentError, PartialWordError, ResourceLimitError
-from .words import Alphabet, PartialWord, format_word, parse_word
-
-# bound on first use by _profile_json: the scan, which only analyze runs
-_kernels = _validate_exponent = None
+from .words import Alphabet, format_word, parse_word
 
 
 def __getattr__(name):
@@ -79,64 +79,88 @@ def _json_list(items, indent: str, pad: str) -> str:
     return "[%s%s%s]" % (indent, ("," + indent).join(items), pad)
 
 
-# per pad, the text pieces of _profile_json: (head, tail, number)
+# per pad, the text pieces of _profiles_json, indexed by a start in its word
+# or by a length: (head, tail, number)
 _JSON_PIECES: dict = {}
 
 
-def _profile_json(word: PartialWord, r: int, pad: str) -> str:
-    """json.dumps(power_profile(word, r).to_json_dict(), indent=2) for a
-    document whose lines after the first start with `pad` (a newline and the
-    enclosing indent), written straight from the scan's start and length
-    columns, with no profile built. Row (s, L) of the occurrences is
-    head[s] + tail[L], each tail ending with the separator before the next
-    row, and number[s] is the text of s + 1: cached pieces, grown to the
-    longest word seen, gathered into one list and joined once."""
-    if _kernels is None:
-        _bind_scan()
-    _validate_exponent(r)
+def _profiles_json(words: list, r: int, array: bool) -> str:
+    """analyze's --json text for `words` at exponent r, as json.dumps writes
+    it at indent 2: with `array`, the array of their documents
+    (PowerProfile.to_json_dict), else the one word's document.
+
+    It is written straight from one scan of the whole batch, with no
+    profile built. The scan lays the words end to end and returns sorted
+    keys x << shift | L, x a start in that layout; row (x, L) is heads[x] +
+    tail[L], each tail ending with the separator before the next row, and
+    numbers[x] is the text of the start, where heads and numbers are laid
+    out as the words are, from per-pad pieces cached for the process and
+    grown to the longest word seen. Every piece goes into one list, joined
+    once."""
+    from . import _kernels
+
+    if array and not words:
+        return "[]"
+    pad = "\n  " if array else "\n"
     i1 = pad + "  "
     i2 = i1 + "  "
     sep = "," + i2
     head, tail, number = _JSON_PIECES.setdefault(pad, ([], [], []))
-    if len(number) <= len(word):
+    longest = max(map(len, words))
+    if len(number) <= longest:
         i3 = i2 + "  "
         row_head = "{" + i3 + '"start": %s,' + i3 + '"length": '
         row_tail = "%d" + i2 + "}" + sep
-        for s in range(len(number), len(word) + 1):
+        for s in range(len(number), longest + 1):
             number.append(str(s + 1))
             head.append(row_head % number[s])
             tail.append(row_tail % s)
-    # through its module, where tracing wraps it
-    starts, lengths = _kernels.occurrence_scan(word.codes, r)
-    if starts:
-        rows = [None] * (2 * len(starts) + 2)
-        rows[0] = "[" + i2
-        rows[1:-1:2] = map(head.__getitem__, starts)
-        rows[2:-1:2] = map(tail.__getitem__, lengths)
-        rows[-2] = rows[-2][: -len(sep)]
-        rows[-1] = i1 + "]"
-        occurrences = "".join(rows)
-    else:
-        occurrences = "[]"
-    # the starts come sorted, so their first occurrences are the sorted set
-    positions = list(map(number.__getitem__, dict.fromkeys(starts)))
-    return (
-        "{" + i1 + '"word": %s,' + i1 + '"r": %d,' + i1 + '"occurrences": %s,'
-        + i1 + '"startPositions": %s,' + i1 + '"uniqueStart": %s' + pad + "}"
-    ) % (
+    order, shift, keys, starts = _kernels.occurrence_keys([w.codes for w in words], r)
+    heads, numbers = [], []
+    for i in order:
+        n = len(words[i])
+        heads += head[:n]
+        numbers += number[:n]
+    mask = (1 << shift) - 1
+    rows = [None] * (2 * len(keys))
+    rows[0::2] = [heads[key >> shift] for key in keys]
+    rows[1::2] = [tail[key & mask] for key in keys]
+    # character x of `marks` is 1 iff x starts an occurrence
+    marks = bin(starts)[:1:-1]
+    positions = list(compress(numbers, marks.encode().translate(bytes.maketrans(b"01", b"\0\1"))))
+    # per word: its rows, rows[2a:2b], and its start numbers, positions[c:d]
+    spans = [None] * len(words)
+    a = c = end = 0
+    for i in order:
+        begin = end
+        end += len(words[i])
+        b = bisect_left(keys, end << shift, a)
+        if b > a:
+            rows[2 * b - 1] = rows[2 * b - 1][: -len(sep)]
+        d = c + marks.count("1", begin, end)
+        spans[i] = a, b, c, d
+        a, c = b, d
+    open_doc = "{" + i1 + '"word": "%s",' + i1 + '"r": %d,' + i1 + '"occurrences": '
+    close_doc = i1 + '"startPositions": %s,' + i1 + '"uniqueStart": %s' + pad + "}"
+    parts = ["[" + pad] if array else []
+    for i, word in enumerate(words):
+        a, b, c, d = spans[i]
+        if i:
+            parts.append("," + pad)
         # format_word writes only a-z and '.', which JSON strings hold as is
-        '"' + format_word(word) + '"',
-        r,
-        occurrences,
-        _json_list(positions, i2, i1),
-        positions[0] if len(positions) == 1 else "null",
-    )
-
-
-def _bind_scan() -> None:
-    global _kernels, _validate_exponent
-    from . import _kernels
-    from .powers import _validate_exponent
+        text = open_doc % (format_word(word), r)
+        tail_text = close_doc % (
+            _json_list(positions[c:d], i2, i1), positions[c] if d - c == 1 else "null"
+        )
+        if b > a:
+            parts.append(text + "[" + i2)
+            parts += rows[2 * a : 2 * b]
+            parts.append(i1 + "]," + tail_text)
+        else:
+            parts.append(text + "[]," + tail_text)
+    if array:
+        parts.append("\n]")
+    return "".join(parts)
 
 
 def _positions_set(positions) -> str:
@@ -286,7 +310,7 @@ _TEXT_PIECES: dict = {}
 
 def _profile_text(profile) -> str:
     # occurrence line (S, L) is head[S] + tail[L], each tail ending with its
-    # newline: cached pieces, as in _profile_json
+    # newline: cached pieces, as in _profiles_json
     w = profile.word
     r = profile.exponent
     head, tail = _TEXT_PIECES.setdefault(r, ([], []))
@@ -317,6 +341,8 @@ def _profile_text(profile) -> str:
 
 
 def _run_analyze(args) -> int:
+    from .powers import _validate_exponent
+
     alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
     if args.stdin and args.word is not None:
         print("analyze: give a word argument or --stdin, not both", file=sys.stderr)
@@ -324,15 +350,16 @@ def _run_analyze(args) -> int:
     if not args.stdin and args.word is None:
         print("analyze: a word argument (or --stdin) is required", file=sys.stderr)
         return 2
+    _validate_exponent(args.r)  # before stdin is read, so an empty batch fails too
     # (physical line number, text); blank lines are skipped after numbering
     texts = (
         [(idx, line.strip()) for idx, line in enumerate(sys.stdin, start=1) if line.strip()]
         if args.stdin
         else [(None, args.word)]
     )
-    # each profile is written as soon as it is found, and printed once every
-    # line has parsed, so an error leaves stdout empty
-    pad = "\n  " if args.stdin else "\n"
+    # text profiles are written as each word parses, --json documents from
+    # one scan of the whole batch once every word has parsed; either way
+    # output is printed only then, so an error leaves stdout empty
     power_profile = None if args.json else _patch_point("power_profile")
     out = []
     for idx, text in texts:
@@ -342,16 +369,11 @@ def _run_analyze(args) -> int:
             where = f"line {idx}: " if args.stdin else ""
             print(f"analyze: {where}{exc}", file=sys.stderr)
             return 2
-        if args.json:
-            out.append(_profile_json(word, args.r, pad))
-        else:
-            out.append(_profile_text(power_profile(word, args.r)))
+        out.append(word if args.json else _profile_text(power_profile(word, args.r)))
     if not args.json:
         print("\n\n".join(out))
-    elif args.stdin:
-        print(_json_list(out, pad, "\n"))
     else:
-        print(out[0])
+        print(_profiles_json(out, args.r, args.stdin))
     return 0
 
 

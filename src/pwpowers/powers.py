@@ -9,6 +9,8 @@ r-th power, keyed by its 1-indexed start and its length (a multiple of r).
 from __future__ import annotations
 
 import itertools
+from itertools import repeat
+from operator import floordiv
 from typing import List, NamedTuple, Optional
 
 from . import _kernels
@@ -105,7 +107,9 @@ def power_occurrences(w: PartialWord, r: int) -> List[PowerOccurrence]:
     """All r-th power occurrences, sorted by (start, length), 1-indexed."""
     _validate_exponent(r)
     starts, lengths = _kernels.occurrence_scan(w.codes, r)
-    return [PowerOccurrence(s + 1, L, r, L // r) for s, L in zip(starts, lengths)]
+    # each row made by tuple.__new__ in C, as PowerOccurrence(*row) would make it
+    rows = zip(map((1).__add__, starts), lengths, repeat(r), map(floordiv, lengths, repeat(r)))
+    return list(map(tuple.__new__, repeat(PowerOccurrence), rows))
 
 
 def start_positions(w: PartialWord, r: int) -> tuple[int, ...]:

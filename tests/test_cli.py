@@ -115,6 +115,49 @@ class TestAnalyze:
     def test_bad_exponent(self):
         assert run_cli("analyze", "aa", "--r", "1").returncode == 2
 
+    @pytest.mark.parametrize("r", ["1", "0"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("stdin", ["", "\n  \n"])
+    def test_bad_exponent_fails_before_stdin(self, monkeypatch, capsys, r, json_flag, stdin):
+        # an empty or blank batch fails as a batch with words does, and the
+        # exponent is checked before stdin is read
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert cli.main(["analyze", "--stdin", "--r", r, *json_flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"pwpowers: exponent must be an integer >= 2, got {r}\n"
+
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("stdin read before the exponent was checked")
+
+        monkeypatch.setattr(sys, "stdin", Unread())
+        assert cli.main(["analyze", "--stdin", "--r", r, *json_flag]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_batch_documents_equal_single_word_documents(self, monkeypatch, capsys):
+        # each document of an --stdin --json batch is `analyze WORD --json`
+        # for that word alone, one level in, whatever the order of the batch:
+        # the scan lays the words out longest first, the documents keep the
+        # input order
+        rng = random.Random(29)
+        texts = [".", "a", "ab", "aaaa", ".aba", "....", "ab" * 40, "aba.ba" * 30, "ab" * 40]
+        for _ in range(30):
+            holes = rng.random()
+            texts.append("".join("." if rng.random() < holes else rng.choice("abcz")
+                                 for _ in range(rng.randint(1, 90))))
+        for r in (2, 3):
+            single = {}
+            for text in texts:
+                assert cli.main(["analyze", text, "--r", str(r), "--json"]) == 0
+                single[text] = capsys.readouterr().out
+            for _ in range(3):
+                rng.shuffle(texts)
+                monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(texts) + "\n"))
+                assert cli.main(["analyze", "--stdin", "--r", str(r), "--json"]) == 0
+                docs = [single[text][:-1].replace("\n", "\n  ") for text in texts]
+                assert capsys.readouterr().out == "[\n  " + ",\n  ".join(docs) + "\n]\n"
+
     def test_json_batch_matches_class_oracle(self):
         # the expected document is built from the residue-class definition of
         # a power, not from the scan, and written by the stdlib encoder; the
@@ -179,18 +222,17 @@ class TestAnalyze:
 
 # a partial word of length 0..40 over k = 1..4 letters, holes included, and
 # an exponent 2..5
-word_exponents = st.tuples(
-    st.integers(1, 4).flatmap(
-        lambda k: st.lists(st.integers(0, k), max_size=40).map(lambda c: to_word(c, k))
-    ),
-    st.integers(2, 5),
+partial_words = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(0, k), max_size=40).map(lambda c: to_word(c, k))
 )
+word_exponents = st.tuples(partial_words, st.integers(2, 5))
 
 
 class TestProfileJson:
-    """_profile_json, which writes analyze's --json profiles, against the
-    stdlib encoder on PowerProfile.to_json_dict, alone and in the --stdin
-    array."""
+    """_profiles_json, which writes analyze's --json text from one scan of
+    the whole batch, against the stdlib encoder on PowerProfile.to_json_dict:
+    one word's document, at the top level, and the --stdin array of every
+    word's document, one level in."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(word_exponents, max_size=3))
@@ -199,33 +241,45 @@ class TestProfileJson:
     @example([(word(".aba"), 2)])  # one start
     @example([(word("aaa.a"), 2), (word("..b.....", 3), 3)])
     def test_matches_stdlib(self, cases):
-        docs = [power_profile(w, r).to_json_dict() for w, r in cases]
-        for (w, r), doc in zip(cases, docs):
-            assert cli._profile_json(w, r, "\n") == json.dumps(doc, indent=2)
-        array = cli._json_list([cli._profile_json(w, r, "\n  ") for w, r in cases], "\n  ", "\n")
-        assert array == json.dumps(docs, indent=2)
+        # each word alone at its exponent, and every word of the list in one
+        # batch at each exponent the list names
+        for w, r in cases:
+            doc = power_profile(w, r).to_json_dict()
+            assert cli._profiles_json([w], r, False) == json.dumps(doc, indent=2)
+        words = [w for w, _ in cases]
+        for r in {r for _, r in cases} | {2}:
+            docs = [power_profile(w, r).to_json_dict() for w in words]
+            assert cli._profiles_json(words, r, True) == json.dumps(docs, indent=2)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(word_exponents, st.sampled_from(["\n", "\n  "])), max_size=8))
+    @given(st.lists(st.tuples(st.lists(partial_words, min_size=1, max_size=6),
+                              st.integers(2, 5), st.booleans()), max_size=8))
     # whole powers, whose last row reads the tail of the word's own length,
-    # after a longer and before a shorter word, under both pads
-    @example([((word("ab" * 20), 2), "\n"), ((word("abab"), 2), "\n"),
-              ((word("a.a.a"), 5), "\n  "), ((word("..b.....", 3), 4), "\n"),
-              ((word("aaa"), 3), "\n  "), ((word("ab" * 15 + "."), 2), "\n  ")])
+    # after a longer and before a shorter word, in and out of an array; and
+    # batches of mixed lengths, with duplicates and words shorter than r
+    @example([([word("ab" * 20)], 2, False), ([word("abab")], 2, False),
+              ([word("a.a.a")], 5, True), ([word("..b.....", 3)], 4, False),
+              ([word("aaa")], 3, True), ([word("ab" * 15 + ".")], 2, True),
+              ([word("abab"), word("ab" * 20), word("a"), word("abab"), word("...."),
+                word("ab" * 15 + ".")], 2, True),
+              ([word("aaa"), word(""), word("a.a.a.a.a"), word("ab")], 3, True)])
     def test_cached_pieces_in_sequence(self, cases):
         # the pieces are cached per pad across calls, grown to the longest
-        # word seen; here they start empty, and each sequence mixes lengths
-        # that go up and down with both pads in one process
+        # word seen; here they start empty, and each sequence mixes batches
+        # and lengths that go up and down, in and out of an array (the two
+        # pads), in one process
         cli._JSON_PIECES.clear()
-        for (w, r), pad in cases:
-            expected = json.dumps(power_profile(w, r).to_json_dict(), indent=2)
-            assert cli._profile_json(w, r, pad) == expected.replace("\n", pad)
+        for words, r, array in cases:
+            words = words if array else words[:1]
+            docs = [power_profile(w, r).to_json_dict() for w in words]
+            expected = json.dumps(docs if array else docs[0], indent=2)
+            assert cli._profiles_json(words, r, array) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 26).flatmap(
         lambda k: st.lists(st.integers(0, k), max_size=60).map(lambda c: to_word(c, k))))
     def test_word_text_needs_no_escape(self, w):
-        # _profile_json quotes the word's text as is: format_word writes only
+        # _profiles_json quotes the word's text as is: format_word writes only
         # letters and '.', none of which a JSON string escapes
         text = format_word(w)
         assert '"' + text + '"' == json.dumps(text)

@@ -1,5 +1,7 @@
 """Power detection, root enumeration, occurrence scanning."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,23 @@ class TestOccurrences:
             (1, 6, 2, 3), (2, 2, 2, 1), (2, 4, 2, 2)]
         with pytest.raises(AttributeError):
             occ.start = 1
+
+    def test_rows_are_power_occurrences(self):
+        # the rows are made by tuple.__new__, not by the class's constructor:
+        # each is still a PowerOccurrence, with its fields, equal to the plain
+        # tuple of its fields and pickled as one
+        occs = power_occurrences(word("aab.aab.ab"), 2)
+        assert len(occs) > 3
+        for o in occs:
+            assert type(o) is PowerOccurrence
+            assert (o.start, o.length, o.exponent, o.root_length) == tuple(o)
+            assert o == PowerOccurrence(*o) == tuple(o)
+            assert o._asdict() == dict(zip(PowerOccurrence._fields, o))
+            assert o.length == o.exponent * o.root_length
+        restored = pickle.loads(pickle.dumps(occs))
+        assert restored == occs == [tuple(o) for o in occs]
+        assert all(type(o) is PowerOccurrence for o in restored)
+        assert repr(occs[0]) == "PowerOccurrence(start=1, length=2, exponent=2, root_length=1)"
 
     def test_start_positions(self):
         assert start_positions(word("aaaa"), 2) == (1, 2, 3)

@@ -2,6 +2,8 @@
 invariants, checked exhaustively on small spaces and by randomized search on
 larger ones."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,3 +246,98 @@ class TestCrossKernelAgreement:
         for codes, r in samples:
             got = list(zip(*_kernels.occurrence_scan(memoryview(bytes(codes)), r)))
             assert got == class_occurrences(codes, r), (codes, r)
+
+
+def batch_rows(words, r):
+    """occurrence_keys on one batch, read back word by word as 0-indexed
+    (start, length) rows, in input order, after checking its layout, its key
+    order and its start bits."""
+    from pwpowers import _kernels
+
+    order, shift, keys, starts = _kernels.occurrence_keys(words, r)
+    # longest first, ties in input order
+    assert order == sorted(range(len(words)), key=lambda i: (-len(words[i]), i))
+    assert keys == sorted(keys)
+    rows = [None] * len(words)
+    begin = 0
+    for i in order:
+        end = begin + len(words[i])
+        rows[i] = [((key >> shift) - begin, key % (1 << shift))
+                   for key in keys if begin <= key >> shift < end]
+        assert {x - begin for x in range(begin, end) if starts >> x & 1} == {
+            s for s, _ in rows[i]}
+        begin = end
+    assert sum(map(len, rows)) == len(keys)
+    assert starts >> begin == 0
+    return rows
+
+
+@st.composite
+def scan_batches(draw):
+    # 0-12 words of length 0-60 over alphabets of 1-26 letters (so 0 to 5
+    # bit planes), each with its own hole share, all holes included, and an
+    # exponent 2-6; some words repeat an earlier one
+    r = draw(st.integers(2, 6))
+    rnd = draw(st.randoms(use_true_random=False))
+    words = []
+    for _ in range(draw(st.integers(0, 12))):
+        if words and draw(st.integers(0, 5)) == 0:
+            words.append(draw(st.sampled_from(words)))
+            continue
+        k = draw(st.integers(1, 26))
+        letters = draw(st.lists(st.integers(1, k), min_size=1, max_size=3))
+        holes = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+        n = draw(st.one_of(st.integers(0, r), st.integers(0, 60)))
+        words.append(bytes(0 if rnd.random() < holes else rnd.choice(letters)
+                           for _ in range(n)))
+    return words, r
+
+
+class TestBatchScan:
+    """The batch scan, word by word, against the residue-class oracle: each
+    word's rows from one scan of the batch are the rows of its windows that
+    are r-th powers, whatever else is in the batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_batches())
+    def test_matches_class_oracle(self, batch):
+        words, r = batch
+        assert batch_rows(words, r) == [class_occurrences(w, r) for w in words]
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 6])
+    def test_long_words_leave_at_their_own_p(self, r):
+        # long words of different lengths next to short ones, each leaving
+        # the ints when r*p passes its length: a whole r-th power (up to
+        # holes) of length r*q, found at the last p it is scanned for, just
+        # after a word one shorter has left; and at its side the same word
+        # with a last letter that breaks the whole power, on top of the
+        # layout at p = q, so that nothing past its last position may be cut
+        rng = random.Random(2900 + r)
+        q = 520 // r
+        root = [rng.randint(1, 3) for _ in range(q)]
+        whole = [0 if rng.random() < 0.6 else c for c in root * r]
+        broken = whole[:q - 1] + [root[q - 1]] + whole[q:-1] + [root[q - 1] % 3 + 1]
+        words = [
+            bytes(whole),
+            bytes(0 if rng.random() < 0.5 else rng.randint(1, 2) for _ in range(610)),
+            bytes(whole[:-1]),
+            bytes(broken),
+            bytes(whole[:500]),
+            bytes(rng.randint(1, 26) for _ in range(30)),
+            bytes(r - 1),
+            b"",
+        ]
+        rows = batch_rows(words, r)
+        assert (0, q * r) in rows[0]
+        assert (0, q * r) not in rows[3]
+        assert rows == [class_occurrences(w, r) for w in words]
+
+    def test_one_word_scan_is_a_batch_of_one(self):
+        from pwpowers import _kernels
+
+        rng = random.Random(29)
+        for n in (0, 1, 8, 40, 200):
+            codes = bytes(0 if rng.random() < 0.3 else rng.randint(1, 3) for _ in range(n))
+            for r in (2, 3, 5):
+                [rows] = batch_rows([codes], r)
+                assert list(zip(*_kernels.occurrence_scan(memoryview(codes), r))) == rows
